@@ -12,7 +12,7 @@ evaluated.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import InertOperatorError, SemanticError, UnboundNameError
 from .exprs import (
     DIM_SYMBOL,
     Expression,
-    Factor,
     InertDeriv,
     KDELTA,
     Term,
@@ -30,18 +29,10 @@ from .exprs import (
 from .session import Session
 
 
-def _perm_parity(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _project_block(arr: np.ndarray, axes, anti: bool) -> np.ndarray:
     """Average over permutations of the given axes, signed for anti blocks."""
+    from .algebra import _perm_sign
+
     total = np.zeros_like(arr)
     count = 0
     for perm in permutations(range(len(axes))):
@@ -50,7 +41,7 @@ def _project_block(arr: np.ndarray, axes, anti: bool) -> np.ndarray:
             order[target] = axes[src]
         contrib = np.transpose(arr, order)
         if anti:
-            contrib = contrib * _perm_parity(perm)
+            contrib = contrib * _perm_sign(perm)
         total = total + contrib
         count += 1
     return total / count
@@ -65,6 +56,7 @@ class ComponentAssignment:
         self.metric = metric
         self.base: dict[tuple[str, int, int], np.ndarray] = {}
         self._adjusted: dict = {}
+        self._inverse: np.ndarray | None = None
 
     def set_array(self, name: str, rank: int, nderivs: int, arr) -> None:
         arr = np.asarray(arr, dtype=float)
@@ -75,6 +67,7 @@ class ComponentAssignment:
             )
         self.base[(name, rank, nderivs)] = arr
         self._adjusted.clear()
+        self._inverse = None
 
     @property
     def metric_matrix(self) -> np.ndarray:
@@ -84,7 +77,9 @@ class ComponentAssignment:
 
     @property
     def metric_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.metric_matrix)
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self.metric_matrix)
+        return self._inverse
 
     def _adjust(self, key, pattern) -> np.ndarray:
         cached = self._adjusted.get((key, pattern))
@@ -101,57 +96,58 @@ class ComponentAssignment:
         self._adjusted[(key, pattern)] = arr
         return arr
 
-    def factor_value(self, f: Factor, valuation: dict[str, int]) -> float:
-        if f.name == DIM_SYMBOL:
-            return float(self.dim)
-        if f.name == KDELTA:
-            if f.rank != 2 or f.slots[0][1] == f.slots[1][1] or f.derivs:
-                raise SemanticError("only the mixed Kronecker delta is evaluable")
-            return 1.0 if valuation[f.slots[0][0]] == valuation[f.slots[1][0]] else 0.0
-        key = (f.name, f.rank, len(f.derivs))
-        arr = self._adjust(key, f.variance_pattern())
-        idx = tuple(valuation[lbl] for lbl, _ in f.slots)
-        idx += tuple(valuation[d] for d in f.derivs)
-        return float(arr[idx])
-
 
 def numeric_eval(expr: Expression, assignment: ComponentAssignment,
                  bind: dict[str, int] | None = None) -> float:
-    """Sum a validated expression over all dummy values 1..D.
+    """Sum a validated expression over all dummy values 0..D-1.
 
-    Free indices must be bound to concrete slot values through ``bind``.
+    Free indices must be bound through ``bind`` to values in 0..D-1.
     """
     bind = bind or {}
-    total = 0.0
-    for t in expr.terms:
-        total += _eval_term(t, assignment, bind)
-    return total
+    bad = {lbl: v for lbl, v in bind.items() if not 0 <= v < assignment.dim}
+    if bad:
+        raise SemanticError(f"bound values {bad} lie outside 0..{assignment.dim - 1}")
+    return sum((_eval_term(t, assignment, bind) for t in expr.terms), 0.0)
 
 
 def _eval_term(t: Term, assignment: ComponentAssignment,
                bind: dict[str, int]) -> float:
-    for f in t.factors:
-        if isinstance(f, InertDeriv):
-            raise InertOperatorError(
-                "inert covariant derivatives have no numeric value"
-            )
+    """One einsum contraction over the dummies.  Factors are sliced at their
+    bound free indices; 0-d values (``dim``, scalars) fold into the coefficient."""
+    if any(isinstance(f, InertDeriv) for f in t.factors):
+        raise InertOperatorError("inert covariant derivatives have no numeric value")
     counts = term_label_counts(t)
-    dummies = sorted(lbl for lbl, ups in counts.items() if len(ups) == 2)
-    frees = [lbl for lbl, ups in counts.items() if len(ups) == 1]
-    missing = [lbl for lbl in frees if lbl not in bind]
+    dummies = {lbl: n for n, lbl in enumerate(
+        lbl for lbl, ups in counts.items() if len(ups) == 2)}
+    missing = [lbl for lbl, ups in counts.items() if len(ups) == 1 and lbl not in bind]
     if missing:
         raise SemanticError(f"free indices {missing} are unbound")
-    total = 0.0
-    for combo in product(range(assignment.dim), repeat=len(dummies)):
-        valuation = dict(bind)
-        valuation.update(zip(dummies, combo))
-        value = float(t.coeff)
-        for f in t.factors:
-            value *= assignment.factor_value(f, valuation)
-            if value == 0.0:
-                break
-        total += value
-    return total
+    value = float(t.coeff)
+    operands = []
+    for f in t.factors:
+        if f.name == DIM_SYMBOL:
+            value *= assignment.dim
+            continue
+        if f.name == KDELTA:
+            if f.rank != 2 or f.slots[0][1] == f.slots[1][1] or f.derivs:
+                raise SemanticError("only the mixed Kronecker delta is evaluable")
+            arr = np.eye(assignment.dim)
+        else:
+            arr = assignment._adjust((f.name, f.rank, len(f.derivs)),
+                                     f.variance_pattern())
+        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
+        arr = arr[tuple(slice(None) if lbl in dummies else bind[lbl]
+                        for lbl in labels)]
+        if arr.ndim == 0:
+            value *= float(arr)
+        else:
+            operands += [arr, [dummies[lbl] for lbl in labels if lbl in dummies]]
+    if not operands:
+        return value
+    try:
+        return value * float(np.einsum(*operands, []))
+    except ValueError as exc:  # einsum caps operands and distinct labels
+        raise SemanticError(f"term too large to evaluate: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_4_numeric_soundness_oracle():
     passes["apply1"] = 0
     for i in range(100):
         e = random_expression(s, rng)
-        assignment = random_assignment(s, [e], dim=2, seed=SEED + 500 + i)
+        assignment = random_assignment(s, [e], dim=4, seed=SEED + 500 + i)
         reference = numeric_eval(e, assignment)
         for op in (expand, contract, canform):
             value = numeric_eval(op(s, e), assignment)
@@ -175,7 +175,7 @@ def test_criterion_4_numeric_soundness_oracle():
         rewritten = apply1(s, e, "Maxwell")
         assert rewritten != canform(s, e)
         assignment = random_assignment(
-            s, [e, rewritten], dim=2, seed=SEED + 900 + i,
+            s, [e, rewritten], dim=4, seed=SEED + 900 + i,
             field_strength=("F", "A"),
         )
         assert _close(
@@ -192,11 +192,11 @@ def test_criterion_4_numeric_soundness_oracle():
         s2,
     )
     gradient = fdiff(s2, lagrangian, fac("A", cov=("m",), derivs=("n",)))
-    assignment = random_assignment(s2, [lagrangian, gradient], dim=2, seed=SEED)
+    assignment = random_assignment(s2, [lagrangian, gradient], dim=4, seed=SEED)
     jet = assignment.base[("A", 1, 1)]
     h = 1e-5
-    for m in range(2):
-        for n in range(2):
+    for m in range(4):
+        for n in range(4):
             symbolic = numeric_eval(gradient, assignment, {"m": m, "n": n})
             saved = jet[m, n]
             jet[m, n] = saved + h

@@ -87,9 +87,9 @@ def test_contract_listing_example(sym_session):
         ),
     )
     assert result == expected
-    a = random_assignment(sym_session, [e], dim=2, seed=17)
-    for m in range(2):
-        for n in range(2):
+    a = random_assignment(sym_session, [e], dim=4, seed=17)
+    for m in range(4):
+        for n in range(4):
             bind = {"m": m, "n": n}
             assert numeric_eval(e, a, bind) == pytest.approx(
                 numeric_eval(result, a, bind), rel=1e-9, abs=1e-12
@@ -203,7 +203,7 @@ def test_canform_idempotent_on_corpus(sym_session):
 def test_canform_sound_under_numeric_eval(sym_session):
     rng = make_rng(5)
     for i in range(60):
-        dim = 2 if i % 2 else 3
+        dim = 4 if i % 2 else 3
         e = random_expression(sym_session, rng)
         a = random_assignment(sym_session, [e], dim=dim, seed=300 + i)
         assert numeric_eval(canform(sym_session, e), a) == pytest.approx(
@@ -219,7 +219,7 @@ def test_expand_is_identity_on_flat_expressions(session):
 
 def test_expand_distributes_with_fresh_dummies(session):
     e = ev("(x([a],[])+y([a],[]))*(x([],[a])+y([],[a]))", session)
-    a = random_assignment(session, [e], dim=2, seed=9)
+    a = random_assignment(session, [e], dim=4, seed=9)
     unexpanded_value = sum(
         numeric_eval(ev(t, session), a)
         for t in (

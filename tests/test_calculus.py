@@ -296,11 +296,11 @@ def test_fdiff_matches_finite_difference(session):
         session,
     )
     gradient = fdiff(session, lagrangian, fac("A", cov=("m",), derivs=("n",)))
-    assignment = random_assignment(session, [lagrangian, gradient], dim=2, seed=42)
+    assignment = random_assignment(session, [lagrangian, gradient], dim=4, seed=42)
     jet = assignment.base[("A", 1, 1)]
     h = 1e-5
-    for m in range(2):
-        for n in range(2):
+    for m in range(4):
+        for n in range(4):
             symbolic = numeric_eval(gradient, assignment, {"m": m, "n": n})
             saved = jet[m, n]
             jet[m, n] = saved + h

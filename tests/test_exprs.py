@@ -109,7 +109,7 @@ def test_rename_dummies_keeps_numeric_value(sym_session):
     rng = make_rng(2)
     for i in range(25):
         e = random_expression(sym_session, rng)
-        a = random_assignment(sym_session, [e], dim=2, seed=100 + i)
+        a = random_assignment(sym_session, [e], dim=4, seed=100 + i)
         assert numeric_eval(e, a) == pytest.approx(
             numeric_eval(rename_dummies(e), a), rel=1e-12, abs=1e-12
         )

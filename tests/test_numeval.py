@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from indicial.errors import InertOperatorError, SemanticError, UnboundNameError
+from indicial.exprs import DIM_SYMBOL, KDELTA, term_label_counts
 from indicial.numeval import (
     ComponentAssignment,
     assignment_from_fixture,
@@ -142,3 +145,119 @@ def test_generator_respects_free_signature(sym_session):
         from indicial import free_indices
 
         assert free_indices(e) == frozenset({("u", False)})
+
+
+# ---------------------------------------------------------------------------
+# differential test against the valuation loop the einsum oracle replaced
+
+
+def _reference_factor(assignment, f, valuation):
+    if f.name == DIM_SYMBOL:
+        return float(assignment.dim)
+    if f.name == KDELTA:
+        return 1.0 if valuation[f.slots[0][0]] == valuation[f.slots[1][0]] else 0.0
+    arr = assignment._adjust((f.name, f.rank, len(f.derivs)), f.variance_pattern())
+    idx = tuple(valuation[lbl] for lbl, _ in f.slots)
+    return float(arr[idx + tuple(valuation[d] for d in f.derivs)])
+
+
+def reference_eval(expr, assignment, bind=None):
+    """Sum every term over all dim**k values of its k dummies, one at a time."""
+    total = 0.0
+    for t in expr.terms:
+        counts = term_label_counts(t)
+        dummies = sorted(lbl for lbl, ups in counts.items() if len(ups) == 2)
+        for combo in product(range(assignment.dim), repeat=len(dummies)):
+            valuation = dict(bind or {})
+            valuation.update(zip(dummies, combo))
+            value = float(t.coeff)
+            for f in t.factors:
+                value *= _reference_factor(assignment, f, valuation)
+            total += value
+    return total
+
+
+def _agrees(expr, assignment, bind=None):
+    # einsum sums in another order than the loop: allow float64 rounding
+    return numeric_eval(expr, assignment, bind) == pytest.approx(
+        reference_eval(expr, assignment, bind), rel=1e-12, abs=1e-11
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize(
+    "free", [(), (("u", False),), (("u", True), ("v", False))],
+    ids=["closed", "one-free", "two-free"],
+)
+def test_einsum_matches_valuation_loop(sym_session, dim, free):
+    rng = make_rng(40 + dim)
+    for i in range(15):
+        e = random_expression(sym_session, rng, free=free)
+        a = random_assignment(sym_session, [e], dim=dim, seed=700 + i)
+        bind = {lbl: int(rng.integers(0, dim)) for lbl, _ in free}
+        assert _agrees(e, a, bind), (i, e)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S([a],[a])",  # trace inside one factor
+        "x([],[a],a)",  # derivative index contracted with a slot
+        "T([a,b],[],c)*S([],[a,c])*x([],[b])",
+        "dim*x([a],[])*x([],[a])",
+        "kdelta([a],[b])*x([b],[])*y([],[a])",
+        "w([],[],a,b)*g([],[a,b])",
+    ],
+)
+def test_einsum_targeted_cases(sym_session, text):
+    e = ev(text, sym_session)
+    for dim in (2, 3, 4):
+        a = random_assignment(sym_session, [e], dim=dim, seed=dim)
+        assert _agrees(e, a)
+
+
+def test_trace_and_derivative_contraction_by_hand(session):
+    a = random_assignment(session, [ev("x([],[a],a)", session)], dim=4, seed=2)
+    inv = a.metric_inverse
+    assert numeric_eval(ev("x([],[a],a)", session), a) == pytest.approx(
+        float(np.trace(inv @ a.base[("x", 1, 1)])), rel=1e-12
+    )
+    assert numeric_eval(ev("kdelta([a],[a])", session), a) == 4.0
+
+
+def test_scalar_power_folds_into_coefficient(session):
+    e = ev("phi([],[])^70", session)
+    a = ComponentAssignment(4)
+    a.set_array("phi", 0, 0, 1.01)
+    assert numeric_eval(e, a) == reference_eval(e, a) == 2.006763368395386
+    assert numeric_eval(e, a) == pytest.approx(1.01**70, rel=1e-14)
+
+
+@pytest.mark.parametrize("value", [4, 7, -1])
+def test_bound_value_out_of_range_raises(session, value):
+    e = ev("x([a],[])", session)
+    a = random_assignment(session, [e], dim=4, seed=5)
+    with pytest.raises(SemanticError):
+        numeric_eval(e, a, {"a": value})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(S([a,b],[])*S([],[a,b]))^27",  # 54 distinct labels
+        "(x([a],[])*x([],[a]))^32",  # 64 operands
+    ],
+)
+def test_einsum_limits_raise_semantic_error(sym_session, text):
+    e = ev(text, sym_session)
+    a = random_assignment(sym_session, [e], dim=2, seed=1)
+    with pytest.raises(SemanticError):
+        numeric_eval(e, a)
+
+
+def test_metric_inverse_cached_until_reassigned(session):
+    a = random_assignment(session, [ev("x([a],[])", session)], dim=3, seed=4)
+    inv = a.metric_inverse
+    assert a.metric_inverse is inv
+    a.set_array("g", 2, 0, 2.0 * np.eye(3))
+    assert np.allclose(a.metric_inverse, 0.5 * np.eye(3))

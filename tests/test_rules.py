@@ -125,7 +125,7 @@ def test_apply1_numerically_sound_for_curl_rule(maxwell_session):
         e = mul(curl, ev(rest_text, s))
         out = apply1(s, e, "Maxwell")
         assignment = random_assignment(
-            s, [e, out], dim=2, seed=50 + i, field_strength=("F", "A")
+            s, [e, out], dim=4, seed=50 + i, field_strength=("F", "A")
         )
         assert numeric_eval(out, assignment) == pytest.approx(
             numeric_eval(e, assignment), rel=1e-9, abs=1e-12
