@@ -43,6 +43,35 @@ from .session import Session
 CONSTANT_NAMES = {KDELTA, DIM_SYMBOL}
 
 
+def _substitute(expr: Expression, instance) -> Expression:
+    """Splice ``instance(term, factor)`` in place of every factor it returns
+    an expression for.
+
+    Terms and factors are scanned in order; a term whose factor is replaced
+    becomes the terms of ``rest * instance``, which are scanned next, depth
+    first.  Returns ``expr`` itself when nothing is replaced.
+    """
+    out: list[Term] | None = None
+    stack: list[Term] = []
+    for ti, term in enumerate(expr.terms):
+        stack.append(term)
+        while stack:
+            t = stack.pop()
+            for fi, f in enumerate(t.factors):
+                replacement = instance(t, f)
+                if replacement is not None:
+                    break
+            else:
+                if out is not None:
+                    out.append(t)
+                continue
+            if out is None:
+                out = list(expr.terms[:ti])
+            rest = Term(t.coeff, t.factors[:fi] + t.factors[fi + 1:])
+            stack.extend(reversed(mul(Expression((rest,)), replacement).terms))
+    return expr if out is None else Expression(tuple(out))
+
+
 def expand_components(session: Session, expr: Expression) -> Expression:
     """Substitute active component definitions into every matching factor.
 
@@ -51,26 +80,17 @@ def expand_components(session: Session, expr: Expression) -> Expression:
     are freshened per occurrence, and any derivative slots on the occurrence
     are applied to the substituted definition afterwards.
     """
-    current = expr
-    while True:
-        hit = None
-        for ti, t in enumerate(current.terms):
-            for fi, f in enumerate(t.factors):
-                if not isinstance(f, Factor):
-                    continue
-                cdef = session.components.get(f.name)
-                if cdef is None:
-                    continue
-                if f.variance_pattern() != cdef.signature.variance_pattern():
-                    continue
-                hit = (ti, fi, f, cdef)
-                break
-            if hit:
-                break
-        if hit is None:
-            return current
-        ti, fi, f, cdef = hit
-        t = current.terms[ti]
+    if not session.components:
+        return expr
+
+    def instance(t: Term, f) -> Expression | None:
+        if not isinstance(f, Factor):
+            return None
+        cdef = session.components.get(f.name)
+        if cdef is None:
+            return None
+        if f.variance_pattern() != cdef.signature.variance_pattern():
+            return None
         floor = max(max_dummy_number(t), max_dummy_number(cdef.definition))
         fresh = Expression(
             tuple(
@@ -82,14 +102,12 @@ def expand_components(session: Session, expr: Expression) -> Expression:
             sig_lbl: occ_lbl
             for (sig_lbl, _), (occ_lbl, _) in zip(cdef.signature.slots, f.slots)
         }
-        instance = map_labels(fresh, mapping)
+        result = map_labels(fresh, mapping)
         for d in f.derivs:
-            instance = idiff(instance, d)
-        rest = Expression((Term(t.coeff, t.factors[:fi] + t.factors[fi + 1:]),))
-        replaced = mul(rest, instance)
-        current = Expression(
-            current.terms[:ti] + replaced.terms + current.terms[ti + 1:]
-        )
+            result = idiff(result, d)
+        return result
+
+    return _substitute(expr, instance)
 
 
 def _avoid_dummy(expr: Expression, label: str) -> Expression:
@@ -212,32 +230,15 @@ def mapcovdiff(session: Session, expr: Expression, index: str) -> Expression:
 
 def expand_christoffels(session: Session, expr: Expression) -> Expression:
     """Substitute every connection factor by its metric expansion."""
-    current = expr
-    while True:
-        hit = None
-        for ti, t in enumerate(current.terms):
-            for fi, f in enumerate(t.factors):
-                if isinstance(f, Factor) and f.name == CHRISTOFFEL:
-                    if f.derivs or f.variance_pattern() != (False, False, True):
-                        raise SemanticError(
-                            "only plain connection factors can be expanded"
-                        )
-                    hit = (ti, fi, f)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return current
-        ti, fi, f = hit
-        t = current.terms[ti]
-        rest = Expression((Term(t.coeff, t.factors[:fi] + t.factors[fi + 1:]),))
-        gamma = christoffel(
-            session, f.slots[0][0], f.slots[1][0], f.slots[2][0]
-        )
-        replaced = mul(rest, gamma)
-        current = Expression(
-            current.terms[:ti] + replaced.terms + current.terms[ti + 1:]
-        )
+
+    def instance(t: Term, f) -> Expression | None:
+        if not (isinstance(f, Factor) and f.name == CHRISTOFFEL):
+            return None
+        if f.derivs or f.variance_pattern() != (False, False, True):
+            raise SemanticError("only plain connection factors can be expanded")
+        return christoffel(session, f.slots[0][0], f.slots[1][0], f.slots[2][0])
+
+    return _substitute(expr, instance)
 
 
 def extdiff(session: Session, expr: Expression, index: str) -> Expression:

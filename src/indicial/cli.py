@@ -27,6 +27,9 @@ from .exprs import (
 )
 from .lagrangian import FieldEquation, euler_lagrange
 from .parse import (
+    BUILTINS,
+    COMMAND,
+    SYNTAX,
     Bin,
     Call,
     FactorNode,
@@ -38,23 +41,12 @@ from .parse import (
     Unary,
     VarRef,
     Wrap,
+    parse_expression,
     parse_program,
     tokenize,
 )
 from .printing import render
 from .session import Session
-
-COMMANDS = {
-    "load",
-    "imetric",
-    "idim",
-    "decsym",
-    "components",
-    "remcomps",
-    "matchdeclare",
-    "defrule",
-    "apply",
-}
 
 DONE = "done"
 
@@ -65,6 +57,20 @@ def _as_rational(expr: Expression) -> Fraction | None:
     if len(expr.terms) == 1 and not expr.terms[0].factors:
         return expr.terms[0].coeff
     return None
+
+
+def _check_arity(node: Call) -> None:
+    """Raise unless the call's argument count fits its builtin table row."""
+    _, fewest, most = BUILTINS[node.fn]
+    n = len(node.args)
+    if fewest <= n and (most is None or n <= most):
+        return
+    if most is None:
+        count = f"at least {fewest}"
+    else:
+        count = str(fewest) if most == fewest else f"{fewest} to {most}"
+    plural = "" if count == "1" else "s"
+    raise SemanticError(f"{node.fn} takes {count} argument{plural}")
 
 
 class Evaluator:
@@ -106,8 +112,9 @@ class Evaluator:
         elif stmt.assign_name is not None:
             value = self.eval_expr(stmt.node)
             self.session.bindings[stmt.assign_name] = value
-        elif isinstance(stmt.node, Call) and stmt.node.fn in COMMANDS:
-            value = self.eval_command(stmt.node)
+        elif (isinstance(stmt.node, Call)
+              and BUILTINS[stmt.node.fn].kind == COMMAND):
+            value = self._run_builtin(stmt.node)
         else:
             value = self.eval_expr(stmt.node)
         self.session.record(value)
@@ -120,7 +127,11 @@ class Evaluator:
             return node.name == "true"
         raise SemanticError("flags take the values true or false")
 
-    # -- commands --
+    # -- builtins --
+
+    def _run_builtin(self, node: Call):
+        _check_arity(node)
+        return getattr(self, "_builtin_" + node.fn)(*node.args)
 
     @staticmethod
     def _name_arg(node, what: str) -> str:
@@ -128,79 +139,27 @@ class Evaluator:
             return node.name
         raise SemanticError(f"expected a {what} name")
 
-    def eval_command(self, node: Call):
-        fn, args = node.fn, node.args
-        if fn == "load":
-            return DONE
-        if fn == "imetric":
-            if len(args) != 1:
-                raise SemanticError("imetric takes one argument")
-            self.session.set_metric(self._name_arg(args[0], "metric"))
-            return DONE
-        if fn == "idim":
-            if len(args) != 1:
-                raise SemanticError("idim takes one argument")
-            if isinstance(args[0], Num) and args[0].value.denominator == 1:
-                self.session.set_dimension(int(args[0].value))
-            elif isinstance(args[0], VarRef) and args[0].name == "dim":
-                self.session.dimension = None
-            else:
-                raise SemanticError("idim takes a positive integer or dim")
-            return DONE
-        if fn == "decsym":
-            return self._eval_decsym(args)
-        if fn == "components":
-            if len(args) != 2 or not isinstance(args[0], FactorNode):
-                raise SemanticError(
-                    "components takes a tensor signature and a definition"
-                )
-            signature = Factor(args[0].name, args[0].slots, args[0].derivs)
-            definition = self.eval_expr(args[1])
-            rules.components(self.session, signature, definition)
-            return DONE
-        if fn == "remcomps":
-            if len(args) != 1:
-                raise SemanticError("remcomps takes one argument")
-            rules.remcomps(self.session, self._name_arg(args[0], "tensor"))
-            return DONE
-        if fn == "matchdeclare":
-            labels = []
-            for arg in args:
-                name = self._name_arg(arg, "metavariable")
-                if name != "atom":
-                    labels.append(name)
-            rules.matchdeclare(self.session, labels)
-            return DONE
-        if fn == "defrule":
-            return self._eval_defrule(args)
-        if fn == "apply":
-            if (
-                len(args) == 2
-                and isinstance(args[0], VarRef)
-                and args[0].name == "defrule"
-                and isinstance(args[1], ListNode)
-            ):
-                return self._eval_defrule(args[1].items)
-            raise SemanticError("apply only wraps defrule")
-        raise SemanticError(f"unhandled command {fn!r}")
+    def _builtin_load(self, package):
+        return DONE
 
-    def _eval_defrule(self, args):
-        if len(args) != 3:
-            raise SemanticError("defrule takes a name, a pattern, a replacement")
-        name = self._name_arg(args[0], "rule")
-        pattern = self.eval_expr(args[1])
-        replacement = self.eval_expr(args[2])
-        rules.defrule(self.session, name, pattern, replacement)
-        return name
+    def _builtin_imetric(self, name):
+        self.session.set_metric(self._name_arg(name, "metric"))
+        return DONE
 
-    def _eval_decsym(self, args):
-        if len(args) != 5:
-            raise SemanticError(
-                "decsym takes a name, two arities, and two block lists"
-            )
-        name = self._name_arg(args[0], "tensor")
+    def _builtin_idim(self, n):
+        if isinstance(n, Num) and n.value.denominator == 1:
+            self.session.set_dimension(int(n.value))
+        elif isinstance(n, VarRef) and n.name == "dim":
+            self.session.dimension = None
+        else:
+            raise SemanticError("idim takes a positive integer or dim")
+        return DONE
+
+    def _builtin_decsym(self, name, cov_arity, contra_arity, cov_blocks,
+                        contra_blocks):
+        name = self._name_arg(name, "tensor")
         arities = []
-        for arg in args[1:3]:
+        for arg in (cov_arity, contra_arity):
             if not isinstance(arg, Num) or arg.value.denominator != 1:
                 raise SemanticError("decsym arities must be integers")
             arities.append(int(arg.value))
@@ -212,6 +171,7 @@ class Evaluator:
             for item in node.items:
                 if not isinstance(item, Call) or item.fn not in ("sym", "anti"):
                     raise SemanticError("blocks are sym(...) or anti(...)")
+                _check_arity(item)
                 if (
                     len(item.args) == 1
                     and isinstance(item.args[0], VarRef)
@@ -229,9 +189,147 @@ class Evaluator:
 
         algebra.decsym(
             self.session, name, arities[0], arities[1],
-            blocks(args[3]), blocks(args[4]),
+            blocks(cov_blocks), blocks(contra_blocks),
         )
         return DONE
+
+    def _builtin_components(self, signature, definition):
+        if not isinstance(signature, FactorNode):
+            raise SemanticError(
+                "components takes a tensor signature and a definition"
+            )
+        rules.components(
+            self.session,
+            Factor(signature.name, signature.slots, signature.derivs),
+            self.eval_expr(definition),
+        )
+        return DONE
+
+    def _builtin_remcomps(self, name):
+        rules.remcomps(self.session, self._name_arg(name, "tensor"))
+        return DONE
+
+    def _builtin_matchdeclare(self, *args):
+        labels = []
+        for arg in args:
+            name = self._name_arg(arg, "metavariable")
+            if name != "atom":
+                labels.append(name)
+        rules.matchdeclare(self.session, labels)
+        return DONE
+
+    def _builtin_defrule(self, name, pattern, replacement):
+        name = self._name_arg(name, "rule")
+        rules.defrule(
+            self.session, name, self.eval_expr(pattern),
+            self.eval_expr(replacement),
+        )
+        return name
+
+    def _builtin_apply(self, fn, args):
+        if not (
+            isinstance(fn, VarRef)
+            and fn.name == "defrule"
+            and isinstance(args, ListNode)
+        ):
+            raise SemanticError("apply only wraps defrule")
+        return self._run_builtin(Call("defrule", args.items))
+
+    def _builtin_ishow(self, expr):
+        value = self._expr_arg(expr)
+        self._write(f"(%t{self.stmt_no}) {self.render_value(value)}")
+        return value
+
+    def _builtin_canform(self, expr):
+        return algebra.canform(self.session, self._expr_arg(expr))
+
+    def _builtin_contract(self, expr):
+        return algebra.contract(self.session, self._expr_arg(expr))
+
+    def _builtin_expand(self, expr):
+        return algebra.expand(self.session, self._expr_arg(expr))
+
+    def _builtin_diff(self, expr, target):
+        expr = self._expr_arg(expr)
+        if isinstance(target, FactorNode):
+            target = Factor(target.name, target.slots, target.derivs)
+        elif isinstance(target, VarRef):
+            target = Factor(target.name)
+        else:
+            raise SemanticError("diff differentiates by an indexed object")
+        return calculus.fdiff(self.session, expr, target)
+
+    def _builtin_idiff(self, expr, index):
+        return calculus.idiff(self._expr_arg(expr), self._index_arg(index))
+
+    def _builtin_covdiff(self, expr, index):
+        return calculus.covdiff(
+            self.session, self._expr_arg(expr), self._index_arg(index),
+            mode="expanded",
+        )
+
+    def _builtin_extdiff(self, expr, index):
+        return calculus.extdiff(
+            self.session, self._expr_arg(expr), self._index_arg(index)
+        )
+
+    def _builtin_apply1(self, expr, rule):
+        if not isinstance(rule, VarRef):
+            raise SemanticError("apply1 takes an expression and a rule name")
+        return rules.apply1(self.session, self._expr_arg(expr), rule.name)
+
+    def _builtin_lhs(self, expr):
+        return self._expr_arg(expr)
+
+    def _builtin_map(self, lam, expr):
+        shape_error = SemanticError(
+            "map only supports lambda([x], 'covdiff(x, index))"
+        )
+        if not (isinstance(lam, Call) and lam.fn == "lambda"):
+            raise shape_error
+        _check_arity(lam)
+        params, body = lam.args
+        if not (
+            isinstance(params, ListNode)
+            and len(params.items) == 1
+            and isinstance(params.items[0], VarRef)
+        ):
+            raise shape_error
+        var = params.items[0].name
+        if not (
+            isinstance(body, Inert)
+            and isinstance(body.body, VarRef)
+            and body.body.name == var
+        ):
+            raise shape_error
+        return calculus.mapcovdiff(self.session, self._expr_arg(expr), body.index)
+
+    def _builtin_mapcovdiff(self, expr, index):
+        return calculus.mapcovdiff(
+            self.session, self._expr_arg(expr), self._index_arg(index)
+        )
+
+    def _builtin_euler_lagrange(self, lagrangian, field, index, rule_list=None):
+        if not isinstance(field, FactorNode):
+            raise SemanticError(
+                "euler_lagrange takes a Lagrangian, a field pattern, a "
+                "derivative index, and optionally a rule list"
+            )
+        lagrangian = self._expr_arg(lagrangian)
+        field = Factor(field.name, field.slots, field.derivs)
+        deriv_index = self._index_arg(index)
+        rule_names: list[str] = []
+        if rule_list is not None:
+            if not isinstance(rule_list, ListNode):
+                raise SemanticError("the rule list must be a list of rule names")
+            rule_names = [self._name_arg(item, "rule") for item in rule_list.items]
+        equation = euler_lagrange(
+            self.session, lagrangian, field, deriv_index, rule_names
+        )
+        if self.trace:
+            for label, stage in equation.trace:
+                self._write(f"(trace) {label}: {self.render_value(stage)}")
+        return equation.lhs
 
     # -- expressions --
 
@@ -289,7 +387,12 @@ class Evaluator:
                 body = calculus.mapcovdiff(session, body, idx)
             return body
         if isinstance(node, Call):
-            return self._eval_call(node)
+            kind = BUILTINS[node.fn].kind
+            if kind == COMMAND:
+                raise SemanticError(f"{node.fn!r} is a command, not an expression")
+            if kind == SYNTAX:
+                raise SemanticError(f"{node.fn!r} cannot appear in an expression")
+            return self._run_builtin(node)
         if isinstance(node, ListNode):
             raise SemanticError("a list is not an expression")
         raise SemanticError(f"cannot evaluate {type(node).__name__}")
@@ -321,135 +424,11 @@ class Evaluator:
             return mul(left, scalar(Fraction(1) / q))
         raise SemanticError(f"unknown operator {node.op!r}")
 
-    _CALL_ARITY = {
-        "ishow": 1,
-        "canform": 1,
-        "contract": 1,
-        "expand": 1,
-        "lhs": 1,
-        "diff": 2,
-        "idiff": 2,
-        "covdiff": 2,
-        "extdiff": 2,
-        "apply1": 2,
-        "map": 2,
-        "mapcovdiff": 2,
-    }
-
-    def _eval_call(self, node: Call) -> Expression:
-        session = self.session
-        fn, args = node.fn, node.args
-        if fn in COMMANDS:
-            raise SemanticError(f"{fn!r} is a command, not an expression")
-        expected = self._CALL_ARITY.get(fn)
-        if expected is not None and len(args) != expected:
-            raise SemanticError(
-                f"{fn} takes {expected} argument{'s' if expected > 1 else ''}"
-            )
-        if fn == "ishow":
-            value = self._expr_arg(args[0])
-            self._write(f"(%t{self.stmt_no}) {self.render_value(value)}")
-            return value
-        if fn == "canform":
-            return algebra.canform(session, self._expr_arg(args[0]))
-        if fn == "contract":
-            return algebra.contract(session, self._expr_arg(args[0]))
-        if fn == "expand":
-            return algebra.expand(session, self._expr_arg(args[0]))
-        if fn == "diff":
-            expr = self._expr_arg(args[0])
-            if isinstance(args[1], FactorNode):
-                target = Factor(args[1].name, args[1].slots, args[1].derivs)
-            elif isinstance(args[1], VarRef):
-                target = Factor(args[1].name)
-            else:
-                raise SemanticError("diff differentiates by an indexed object")
-            return calculus.fdiff(session, expr, target)
-        if fn == "idiff":
-            return calculus.idiff(
-                self._expr_arg(args[0]), self._index_arg(args[1])
-            )
-        if fn == "covdiff":
-            return calculus.covdiff(
-                session, self._expr_arg(args[0]), self._index_arg(args[1]),
-                mode="expanded",
-            )
-        if fn == "extdiff":
-            return calculus.extdiff(
-                session, self._expr_arg(args[0]), self._index_arg(args[1])
-            )
-        if fn == "apply1":
-            if not isinstance(args[1], VarRef):
-                raise SemanticError("apply1 takes an expression and a rule name")
-            return rules.apply1(session, self._expr_arg(args[0]), args[1].name)
-        if fn == "lhs":
-            return self._expr_arg(args[0])
-        if fn == "map":
-            return self._eval_map(args)
-        if fn == "mapcovdiff":
-            return calculus.mapcovdiff(
-                session, self._expr_arg(args[0]), self._index_arg(args[1])
-            )
-        if fn == "euler_lagrange":
-            return self._eval_euler_lagrange(args)
-        raise SemanticError(f"{fn!r} cannot appear in an expression")
-
-    def _eval_map(self, args) -> Expression:
-        if len(args) != 2:
-            raise SemanticError("map takes a lambda and an expression")
-        lam = args[0]
-        shape_error = SemanticError(
-            "map only supports lambda([x], 'covdiff(x, index))"
-        )
-        if not (isinstance(lam, Call) and lam.fn == "lambda" and len(lam.args) == 2):
-            raise shape_error
-        params, body = lam.args
-        if not (
-            isinstance(params, ListNode)
-            and len(params.items) == 1
-            and isinstance(params.items[0], VarRef)
-        ):
-            raise shape_error
-        var = params.items[0].name
-        if not (
-            isinstance(body, Inert)
-            and isinstance(body.body, VarRef)
-            and body.body.name == var
-        ):
-            raise shape_error
-        return calculus.mapcovdiff(
-            self.session, self._expr_arg(args[1]), body.index
-        )
-
-    def _eval_euler_lagrange(self, args) -> Expression:
-        if len(args) < 3 or not isinstance(args[1], FactorNode):
-            raise SemanticError(
-                "euler_lagrange takes a Lagrangian, a field pattern, a "
-                "derivative index, and optionally a rule list"
-            )
-        lagrangian = self._expr_arg(args[0])
-        field = Factor(args[1].name, args[1].slots, args[1].derivs)
-        deriv_index = self._index_arg(args[2])
-        rule_names: list[str] = []
-        if len(args) == 4:
-            if not isinstance(args[3], ListNode):
-                raise SemanticError("the rule list must be a list of rule names")
-            rule_names = [self._name_arg(item, "rule") for item in args[3].items]
-        equation = euler_lagrange(
-            self.session, lagrangian, field, deriv_index, rule_names
-        )
-        if self.trace:
-            for label, stage in equation.trace:
-                self._write(f"(trace) {label}: {self.render_value(stage)}")
-        return equation.lhs
-
 
 def evaluate_expression(text: str, session: Session | None = None) -> Expression:
     """Parse and evaluate a single expression against a session."""
-    from .parse import parse_expression as _parse
-
     evaluator = Evaluator(session or Session())
-    return evaluator.eval_expr(_parse(text))
+    return evaluator.eval_expr(parse_expression(text))
 
 
 def run_script(path: str, session: Session | None = None, fmt: str = "plain",

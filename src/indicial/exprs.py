@@ -400,24 +400,12 @@ def walk_factors(obj) -> Iterator[Factor]:
     """Yield every plain Factor in the tree, descending into inert bodies."""
     if isinstance(obj, Factor):
         yield obj
-    elif isinstance(obj, InertDeriv):
+    elif isinstance(obj, (Term, InertDeriv)):
         for f in obj.factors:
-            yield from walk_factors(f)
-    elif isinstance(obj, Term):
-        for f in obj.factors:
-            yield from walk_factors(f)
+            if isinstance(f, Factor):
+                yield f
+            else:
+                yield from walk_factors(f)
     elif isinstance(obj, Expression):
         for t in obj.terms:
             yield from walk_factors(t)
-
-
-def contains_inert(obj) -> bool:
-    if isinstance(obj, InertDeriv):
-        return True
-    if isinstance(obj, Factor):
-        return False
-    if isinstance(obj, Term):
-        return any(contains_inert(f) for f in obj.factors)
-    if isinstance(obj, Expression):
-        return any(contains_inert(t) for t in obj.terms)
-    return False

@@ -23,7 +23,6 @@ from .exprs import (
     InertDeriv,
     KDELTA,
     Term,
-    term_label_counts,
     walk_factors,
 )
 from .session import Session
@@ -59,7 +58,10 @@ class ComponentAssignment:
         self._inverse: np.ndarray | None = None
 
     def set_array(self, name: str, rank: int, nderivs: int, arr) -> None:
-        arr = np.asarray(arr, dtype=float)
+        """Store a read-only copy of ``arr``: raised occurrences are cached,
+        so components change only through this method."""
+        arr = np.array(arr, dtype=float)
+        arr.setflags(write=False)
         expected = (self.dim,) * (rank + nderivs)
         if arr.shape != expected:
             raise SemanticError(
@@ -114,17 +116,27 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
                bind: dict[str, int]) -> float:
     """One einsum contraction over the dummies.  Factors are sliced at their
     bound free indices; 0-d values (``dim``, scalars) fold into the coefficient."""
-    if any(isinstance(f, InertDeriv) for f in t.factors):
-        raise InertOperatorError("inert covariant derivatives have no numeric value")
-    counts = term_label_counts(t)
-    dummies = {lbl: n for n, lbl in enumerate(
-        lbl for lbl, ups in counts.items() if len(ups) == 2)}
-    missing = [lbl for lbl, ups in counts.items() if len(ups) == 1 and lbl not in bind]
+    labelled = []
+    counts: dict[str, int] = {}
+    for f in t.factors:
+        if isinstance(f, InertDeriv):
+            raise InertOperatorError("inert covariant derivatives have no numeric value")
+        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
+        labelled.append((f, labels))
+        for lbl in labels:
+            counts[lbl] = counts.get(lbl, 0) + 1
+    dummies: dict[str, int] = {}
+    missing = []
+    for lbl, n in counts.items():
+        if n == 2:
+            dummies[lbl] = len(dummies)
+        elif n == 1 and lbl not in bind:
+            missing.append(lbl)
     if missing:
         raise SemanticError(f"free indices {missing} are unbound")
     value = float(t.coeff)
     operands = []
-    for f in t.factors:
+    for f, labels in labelled:
         if f.name == DIM_SYMBOL:
             value *= assignment.dim
             continue
@@ -135,13 +147,15 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
         else:
             arr = assignment._adjust((f.name, f.rank, len(f.derivs)),
                                      f.variance_pattern())
-        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
-        arr = arr[tuple(slice(None) if lbl in dummies else bind[lbl]
-                        for lbl in labels)]
-        if arr.ndim == 0:
-            value *= float(arr)
+        axes = [dummies.get(lbl) for lbl in labels]
+        if None in axes:  # slice at the bound free indices
+            arr = arr[tuple(bind[lbl] if n is None else slice(None)
+                            for lbl, n in zip(labels, axes))]
+            axes = [n for n in axes if n is not None]
+        if axes:
+            operands += [arr, axes]
         else:
-            operands += [arr, [dummies[lbl] for lbl in labels if lbl in dummies]]
+            value *= float(arr)
     if not operands:
         return value
     try:

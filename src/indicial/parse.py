@@ -10,38 +10,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, UnknownCommandError
 
-KNOWN_CALLS = frozenset(
-    {
-        "load",
-        "imetric",
-        "idim",
-        "decsym",
-        "components",
-        "remcomps",
-        "matchdeclare",
-        "defrule",
-        "apply",
-        "apply1",
-        "ishow",
-        "canform",
-        "contract",
-        "expand",
-        "diff",
-        "idiff",
-        "covdiff",
-        "extdiff",
-        "lhs",
-        "map",
-        "lambda",
-        "mapcovdiff",
-        "euler_lagrange",
-        "anti",
-        "sym",
-    }
-)
+# Every builtin of the script language: its kind and its fewest and most
+# arguments (None: no limit).  A command runs only as a statement of its own;
+# a call returns an expression; syntax appears only inside the arguments of
+# another builtin.  The evaluator dispatches each command and call to its
+# handler method ``Evaluator._builtin_<name>``.
+COMMAND, CALL, SYNTAX = "command", "call", "syntax"
+
+
+class Builtin(NamedTuple):
+    kind: str
+    min_args: int
+    max_args: int | None
+
+
+BUILTINS = {
+    "load": Builtin(COMMAND, 1, 1),
+    "imetric": Builtin(COMMAND, 1, 1),
+    "idim": Builtin(COMMAND, 1, 1),
+    "decsym": Builtin(COMMAND, 5, 5),
+    "components": Builtin(COMMAND, 2, 2),
+    "remcomps": Builtin(COMMAND, 1, 1),
+    "matchdeclare": Builtin(COMMAND, 0, None),
+    "defrule": Builtin(COMMAND, 3, 3),
+    "apply": Builtin(COMMAND, 2, 2),
+    "ishow": Builtin(CALL, 1, 1),
+    "canform": Builtin(CALL, 1, 1),
+    "contract": Builtin(CALL, 1, 1),
+    "expand": Builtin(CALL, 1, 1),
+    "diff": Builtin(CALL, 2, 2),
+    "idiff": Builtin(CALL, 2, 2),
+    "covdiff": Builtin(CALL, 2, 2),
+    "extdiff": Builtin(CALL, 2, 2),
+    "apply1": Builtin(CALL, 2, 2),
+    "lhs": Builtin(CALL, 1, 1),
+    "map": Builtin(CALL, 2, 2),
+    "mapcovdiff": Builtin(CALL, 2, 2),
+    "euler_lagrange": Builtin(CALL, 3, 4),
+    "lambda": Builtin(SYNTAX, 2, 2),
+    "sym": Builtin(SYNTAX, 0, None),
+    "anti": Builtin(SYNTAX, 0, None),
+}
 
 PUNCT = set("()[]{},;$:+-*/^='_")
 
@@ -398,7 +411,7 @@ class Parser:
                 (lbl, True) for lbl in contra
             )
             return FactorNode(name_tok.value, slots, tuple(derivs))
-        if name_tok.value not in KNOWN_CALLS:
+        if name_tok.value not in BUILTINS:
             raise UnknownCommandError(
                 f"unknown command {name_tok.value!r}", name_tok.line, name_tok.col
             )

@@ -19,13 +19,20 @@ def _slot_runs(f: Factor):
     return runs
 
 
+def _inert_chain(f: InertDeriv):
+    """Unwrap directly nested inert derivatives: the indices, innermost
+    first, and the factors of the innermost body."""
+    indices = [f.index]
+    inner = f.factors
+    while len(inner) == 1 and isinstance(inner[0], InertDeriv):
+        indices.insert(0, inner[0].index)
+        inner = inner[0].factors
+    return indices, inner
+
+
 def render_factor(f: FactorLike) -> str:
     if isinstance(f, InertDeriv):
-        indices = [f.index]
-        inner = f.factors
-        while len(inner) == 1 and isinstance(inner[0], InertDeriv):
-            indices.insert(0, inner[0].index)
-            inner = inner[0].factors
+        indices, inner = _inert_chain(f)
         if len(inner) == 1 and isinstance(inner[0], Factor):
             body = render_factor(inner[0])
         else:
@@ -78,11 +85,7 @@ def render_plain(expr: Expression) -> str:
 
 def _latex_factor(f: FactorLike) -> str:
     if isinstance(f, InertDeriv):
-        indices = [f.index]
-        inner = f.factors
-        while len(inner) == 1 and isinstance(inner[0], InertDeriv):
-            indices.insert(0, inner[0].index)
-            inner = inner[0].factors
+        indices, inner = _inert_chain(f)
         if len(inner) == 1 and isinstance(inner[0], Factor):
             body = _latex_factor(inner[0])
         else:

@@ -135,15 +135,10 @@ def _match_subsets(factors: tuple[FactorLike, ...],
             yield binding, rest
 
 
-def _instantiate(expression: Expression, binding: dict[str, str]) -> Expression:
-    return map_labels(expression, binding)
-
-
-def _rewrite_site(session: Session, terms: tuple[Term, ...], ti: int,
-                  ratio, binding, rest, rule: RewriteRule,
-                  removed: int | None):
+def _rewrite_site(terms: tuple[Term, ...], ti: int, ratio, binding, rest,
+                  rule: RewriteRule, removed: int | None):
     rest_expr = Expression((Term(ratio, rest),))
-    produced = mul(rest_expr, _instantiate(rule.replacement, binding))
+    produced = mul(rest_expr, map_labels(rule.replacement, binding))
     keep = [
         u for i, u in enumerate(terms) if i != ti and i != removed
     ]
@@ -175,7 +170,7 @@ def _apply_once(session: Session, current: Expression, rule: RewriteRule):
             ):
                 try:
                     candidate = _rewrite_site(
-                        session, current.terms, ti, ratio, binding, rest, rule, None
+                        current.terms, ti, ratio, binding, rest, rule, None
                     )
                     candidate = canform(session, validate_expression(candidate))
                 except ValidationError:
@@ -206,8 +201,7 @@ def _apply_once(session: Session, current: Expression, rule: RewriteRule):
                 if structural_key(u) == key and u.coeff == rep.coeff:
                     try:
                         candidate = _rewrite_site(
-                            session, current.terms, ti, ratio, binding, rest,
-                            rule, tj,
+                            current.terms, ti, ratio, binding, rest, rule, tj
                         )
                         candidate = canform(session, validate_expression(candidate))
                     except ValidationError:

@@ -10,17 +10,13 @@ from .errors import (
     HistoryError,
     SemanticError,
 )
-from .exprs import CHRISTOFFEL, Expression, Factor, KDELTA, walk_factors
+from .exprs import CHRISTOFFEL, Expression, Factor, KDELTA
 
 
 @dataclass(frozen=True)
 class SymmetryBlock:
     kind: str  # "sym" or "anti"
     positions: tuple[int, ...]
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.kind == "anti" else 1
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,6 @@ class Session:
             raise ArityMismatchError(
                 f"tensor {name!r} declared with rank {prior}, used with rank {rank}"
             )
-
-    def register_expression(self, expr: Expression) -> None:
-        for f in walk_factors(expr):
-            self.register_arity(f.name, f.rank)
 
     def blocks_for(self, name: str) -> tuple[SymmetryBlock, ...]:
         return self.symmetries.get(name, ())

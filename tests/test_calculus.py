@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from indicial import Session, add, scale, sub
@@ -302,15 +303,13 @@ def test_fdiff_matches_finite_difference(session):
     for m in range(4):
         for n in range(4):
             symbolic = numeric_eval(gradient, assignment, {"m": m, "n": n})
-            saved = jet[m, n]
-            jet[m, n] = saved + h
-            assignment._adjusted.clear()
+            step = np.zeros_like(jet)
+            step[m, n] = h
+            assignment.set_array("A", 1, 1, jet + step)
             upper = numeric_eval(lagrangian, assignment)
-            jet[m, n] = saved - h
-            assignment._adjusted.clear()
+            assignment.set_array("A", 1, 1, jet - step)
             lower = numeric_eval(lagrangian, assignment)
-            jet[m, n] = saved
-            assignment._adjusted.clear()
+            assignment.set_array("A", 1, 1, jet)
             fd = (upper - lower) / (2 * h)
             assert symbolic == pytest.approx(fd, rel=1e-6, abs=1e-8)
 

@@ -261,3 +261,13 @@ def test_metric_inverse_cached_until_reassigned(session):
     assert a.metric_inverse is inv
     a.set_array("g", 2, 0, 2.0 * np.eye(3))
     assert np.allclose(a.metric_inverse, 0.5 * np.eye(3))
+
+
+def test_assigned_arrays_are_read_only_copies(session):
+    a = random_assignment(session, [ev("x([],[a])", session)], dim=4, seed=3)
+    with pytest.raises(ValueError):
+        a.base[("x", 1, 0)][0] = 1.0
+    source = np.ones(4)
+    a.set_array("x", 1, 0, source)
+    source[0] = 2.0
+    assert numeric_eval(ev("x([a],[])", session), a, {"a": 0}) == 1.0
