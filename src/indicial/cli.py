@@ -17,7 +17,7 @@ from .exprs import (
     Expression,
     Factor,
     Term,
-    add,
+    extend_sum,
     mul,
     neg,
     power,
@@ -37,7 +37,9 @@ from .parse import (
     Inert,
     ListNode,
     Num,
+    Product,
     Statement,
+    Sum,
     Unary,
     VarRef,
     Wrap,
@@ -376,6 +378,10 @@ class Evaluator:
             return value
         if isinstance(node, Unary):
             return neg(self._expr_arg(node.operand))
+        if isinstance(node, Sum):
+            return self._eval_sum(node)
+        if isinstance(node, Product):
+            return self._eval_product(node)
         if isinstance(node, Bin):
             return self._eval_bin(node)
         if isinstance(node, Inert):
@@ -405,24 +411,37 @@ class Evaluator:
             if q is None or q.denominator != 1 or q < 0:
                 raise SemanticError("exponents must be nonnegative integers")
             return power(base, int(q))
-        left = self._expr_arg(node.left)
-        right = self._expr_arg(node.right)
-        if node.op == "+":
-            return add(left, right)
-        if node.op == "-":
-            return sub(left, right)
         if node.op == "=":
-            return sub(left, right)
-        if node.op == "*":
-            return mul(left, right)
-        if node.op == "/":
+            return sub(self._expr_arg(node.left), self._expr_arg(node.right))
+        raise SemanticError(f"unknown operator {node.op!r}")
+
+    def _eval_sum(self, node: Sum) -> Expression:
+        # The first operand's terms are checked together with the second's,
+        # as a left-to-right chain of binary additions would check them.
+        terms: list[Term] = []
+        pending = self._expr_arg(node.operands[0]).terms
+        for op, operand in zip(node.ops, node.operands[1:]):
+            value = self._expr_arg(operand)
+            if op == "-":
+                value = neg(value)
+            extend_sum(terms, pending + value.terms)
+            pending = ()
+        return Expression(tuple(terms))
+
+    def _eval_product(self, node: Product) -> Expression:
+        value = self._expr_arg(node.operands[0])
+        for op, operand in zip(node.ops, node.operands[1:]):
+            right = self._expr_arg(operand)
+            if op == "*":
+                value = mul(value, right)
+                continue
             q = _as_rational(right)
             if q is None:
                 raise SemanticError("division is only defined by rational scalars")
             if q == 0:
                 raise SemanticError("division by zero")
-            return mul(left, scalar(Fraction(1) / q))
-        raise SemanticError(f"unknown operator {node.op!r}")
+            value = mul(value, scalar(Fraction(1) / q))
+        return value
 
 
 def evaluate_expression(text: str, session: Session | None = None) -> Expression:
@@ -435,8 +454,11 @@ def run_script(path: str, session: Session | None = None, fmt: str = "plain",
                trace: bool = False, out=None, err=None) -> int:
     """Execute a script file; returns the process exit status.
 
-    Parse errors exit 1, validation and semantic errors exit 2, success 0.
-    The transcript goes to standard output, diagnostics to standard error.
+    Parse errors exit 1, validation and semantic errors exit 2, an internal
+    error (an exception outside the engine's hierarchy, a defect) exits 3,
+    success 0.  The transcript goes to standard output, diagnostics to
+    standard error, each evaluation diagnostic prefixed with the line and
+    column where its statement starts.
     """
     err = err if err is not None else sys.stderr
     try:
@@ -455,12 +477,22 @@ def run_script(path: str, session: Session | None = None, fmt: str = "plain",
         try:
             evaluator.execute_statement(stmt)
         except IndicialError as exc:
-            err.write(
-                f"statement {evaluator.stmt_no}: "
-                f"{type(exc).__name__}: {exc}\n"
-            )
+            err.write(_diagnostic(evaluator, stmt, exc) + "\n")
             return 2
+        except Exception as exc:  # a defect: report it, never a traceback
+            err.write(_diagnostic(evaluator, stmt, exc) + "\n")
+            return 3
     return 0
+
+
+def _diagnostic(evaluator: Evaluator, stmt: Statement, exc: Exception) -> str:
+    """``line L, column C: statement N: Class: message``; exceptions outside
+    the engine's hierarchy are marked as internal errors."""
+    kind = type(exc).__name__
+    if not isinstance(exc, IndicialError):
+        kind = f"internal error: {kind}"
+    return (f"line {stmt.line}, column {stmt.col}: "
+            f"statement {evaluator.stmt_no}: {kind}: {exc}")
 
 
 def repl(session: Session | None = None, fmt: str = "plain",
@@ -500,8 +532,8 @@ def repl(session: Session | None = None, fmt: str = "plain",
                 return 0
             try:
                 evaluator.execute_statement(stmt)
-            except IndicialError as exc:
-                print(f"error: {type(exc).__name__}: {exc}")
+            except Exception as exc:  # the session survives every error
+                print(f"error: {_diagnostic(evaluator, stmt, exc)}")
 
 
 def main(argv=None) -> int:

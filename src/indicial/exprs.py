@@ -303,12 +303,22 @@ def _rename_colliding_dummies(t: Term, avoid: set[str], floor: int) -> Term:
     return map_labels(t, mapping)
 
 
+def extend_sum(terms: list[Term], new_terms) -> None:
+    """Append ``new_terms`` to the running sum ``terms``, dropping zero
+    coefficients.  Each new term is validated once and its free indices are
+    checked against the sum's first term, so a sum of N terms costs N
+    validations however many operands it arrives in."""
+    new = tuple(t for t in new_terms if t.coeff != 0)
+    for t in new:
+        validate(t)
+    free_indices(Expression(tuple(terms[:1]) + new))
+    terms.extend(new)
+
+
 def add(*exprs: Expression) -> Expression:
     terms: list[Term] = []
-    for e in exprs:
-        terms.extend(e.terms)
-    result = Expression(tuple(t for t in terms if t.coeff != 0))
-    return validate_expression(result)
+    extend_sum(terms, [t for e in exprs for t in e.terms])
+    return Expression(tuple(terms))
 
 
 def scale(expr: Expression, factor) -> Expression:

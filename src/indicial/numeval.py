@@ -13,8 +13,7 @@ evaluated.
 from __future__ import annotations
 
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InertOperatorError, SemanticError, UnboundNameError
 from .exprs import (
@@ -27,9 +26,17 @@ from .exprs import (
 )
 from .session import Session
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that use it, so that importing the
+# engine does not load it: only this oracle needs numpy.
+
 
 def _project_block(arr: np.ndarray, axes, anti: bool) -> np.ndarray:
     """Average over permutations of the given axes, signed for anti blocks."""
+    import numpy as np
+
     from .algebra import _perm_sign
 
     total = np.zeros_like(arr)
@@ -60,6 +67,8 @@ class ComponentAssignment:
     def set_array(self, name: str, rank: int, nderivs: int, arr) -> None:
         """Store a read-only copy of ``arr``: raised occurrences are cached,
         so components change only through this method."""
+        import numpy as np
+
         arr = np.array(arr, dtype=float)
         arr.setflags(write=False)
         expected = (self.dim,) * (rank + nderivs)
@@ -80,6 +89,8 @@ class ComponentAssignment:
     @property
     def metric_inverse(self) -> np.ndarray:
         if self._inverse is None:
+            import numpy as np
+
             self._inverse = np.linalg.inv(self.metric_matrix)
         return self._inverse
 
@@ -89,6 +100,8 @@ class ComponentAssignment:
             return cached
         if key not in self.base:
             raise UnboundNameError(f"no components assigned for {key[0]!r}")
+        import numpy as np
+
         arr = self.base[key]
         for axis, up in enumerate(pattern):
             if up:
@@ -116,6 +129,8 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
                bind: dict[str, int]) -> float:
     """One einsum contraction over the dummies.  Factors are sliced at their
     bound free indices; 0-d values (``dim``, scalars) fold into the coefficient."""
+    import numpy as np
+
     labelled = []
     counts: dict[str, int] = {}
     for f in t.factors:
@@ -189,6 +204,8 @@ def random_assignment(session: Session, exprs, dim: int = 2, seed: int = 0,
     given, F's base components are assembled as the curl of A's jet so rules
     relating the two are numerically sound.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     assignment = ComponentAssignment(dim, metric=session.metric)
     if session.metric is not None:
@@ -322,6 +339,8 @@ def assignment_from_fixture(data: dict) -> ComponentAssignment:
     and the number of derivative axes (``"A,1"`` holds the jet of A); values
     are nested lists shaped (dim,)*(rank + nderivs).
     """
+    import numpy as np
+
     assignment = ComponentAssignment(int(data["dim"]), data.get("metric"))
     for key, listing in data.get("tensors", {}).items():
         name, _, nd = key.partition(",")

@@ -207,16 +207,52 @@ class Bin:
 
 
 @dataclass(frozen=True)
+class Sum:
+    """Operands added left to right; ``ops[i]`` (``+`` or ``-``) stands
+    before ``operands[i + 1]``."""
+
+    operands: tuple
+    ops: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Product:
+    """Operands multiplied left to right; ``ops[i]`` (``*`` or ``/``) stands
+    before ``operands[i + 1]``."""
+
+    operands: tuple
+    ops: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class Statement:
+    """One statement; ``line`` and ``col`` locate its first token."""
+
     node: object
     echo: bool
     assign_name: str | None = None
+    line: int = 0
+    col: int = 0
+
+
+# Deepest nesting of parentheses, arguments, list items, unary signs and
+# exponents the parser accepts; deeper input raises ParseError long before
+# the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, tok: Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it by
+        decrementing ``depth`` once the nested part is parsed."""
+        if self.depth >= MAX_DEPTH:
+            raise ParseError("expression nested too deeply", tok.line, tok.col)
+        self.depth += 1
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -251,6 +287,7 @@ class Parser:
         return statements
 
     def parse_statement(self) -> Statement:
+        first = self.peek()
         assign_name = None
         if self.at("NAME") and self.at(":", 1):
             assign_name = self.advance().value
@@ -267,7 +304,7 @@ class Parser:
             raise ParseError(
                 "expected ';' or '$' to end the statement", tok.line, tok.col
             )
-        return Statement(node, echo, assign_name)
+        return Statement(node, echo, assign_name, first.line, first.col)
 
     # -- expressions --
 
@@ -280,33 +317,40 @@ class Parser:
         return left
 
     def parse_sum(self):
-        node = self.parse_product()
+        operands = [self.parse_product()]
+        ops = []
         while self.at("+") or self.at("-"):
-            op = self.advance().kind
-            node = Bin(op, node, self.parse_product())
-        return node
+            ops.append(self.advance().kind)
+            operands.append(self.parse_product())
+        return Sum(tuple(operands), tuple(ops)) if ops else operands[0]
 
     def parse_product(self):
-        node = self.parse_unary()
+        operands = [self.parse_unary()]
+        ops = []
         while self.at("*") or self.at("/"):
-            op = self.advance().kind
-            node = Bin(op, node, self.parse_unary())
-        return node
+            ops.append(self.advance().kind)
+            operands.append(self.parse_unary())
+        return Product(tuple(operands), tuple(ops)) if ops else operands[0]
 
     def parse_unary(self):
-        if self.at("-"):
-            self.advance()
-            return Unary("-", self.parse_unary())
-        if self.at("+"):
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+        tok = self.peek()
+        if tok.kind not in ("-", "+"):
+            return self.parse_power()
+        self.advance()
+        self.enter(tok)
+        node = self.parse_unary()
+        self.depth -= 1
+        return Unary("-", node) if tok.kind == "-" else node
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.at("^") and not self.at("{", 1):
+        tok = self.peek()
+        if tok.kind == "^" and not self.at("{", 1):
             self.advance()
-            return Bin("^", base, self.parse_unary())
+            self.enter(tok)
+            exponent = self.parse_unary()
+            self.depth -= 1
+            return Bin("^", base, exponent)
         return base
 
     def parse_index_label(self) -> str:
@@ -329,8 +373,9 @@ class Parser:
                     name.line,
                     name.col,
                 )
-            self.expect("(")
+            self.enter(self.expect("("))
             body = self.parse_expr()
+            self.depth -= 1
             self.expect(",")
             index = self.parse_index_label()
             self.expect(")")
@@ -353,7 +398,9 @@ class Parser:
             return HistRef(n)
         if tok.kind == "(":
             self.advance()
+            self.enter(tok)
             node = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             if self.at("_") and self.at("{", 1):
                 indices = self.parse_inert_block()
@@ -364,15 +411,22 @@ class Parser:
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def parse_list(self) -> ListNode:
-        self.expect("[")
+        items = self.parse_arguments(self.expect("["), "]")
+        return ListNode(tuple(items))
+
+    def parse_arguments(self, opener: Token, closer: str) -> list:
+        """Comma-separated expressions up to ``closer``, one level deeper
+        than ``opener``."""
+        self.enter(opener)
         items = []
-        if not self.at("]"):
+        if not self.at(closer):
             items.append(self.parse_expr())
             while self.at(","):
                 self.advance()
                 items.append(self.parse_expr())
-        self.expect("]")
-        return ListNode(tuple(items))
+        self.depth -= 1
+        self.expect(closer)
+        return items
 
     def parse_bracket_labels(self) -> list[str]:
         self.expect("[")
@@ -386,7 +440,7 @@ class Parser:
         return labels
 
     def parse_call_or_factor(self, name_tok: Token):
-        self.expect("(")
+        opener = self.expect("(")
         # lambda takes a parameter list, everything else with a leading
         # bracket is an indexed object
         if self.at("[") and name_tok.value != "lambda":
@@ -415,13 +469,7 @@ class Parser:
             raise UnknownCommandError(
                 f"unknown command {name_tok.value!r}", name_tok.line, name_tok.col
             )
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr())
-        self.expect(")")
+        args = self.parse_arguments(opener, ")")
         return Call(name_tok.value, tuple(args))
 
     def parse_inert_block(self) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from fractions import Fraction
 from itertools import permutations
 
 from .algebra import _level_variants, canform, canonical_term
@@ -23,6 +25,7 @@ from .exprs import (
     map_labels,
     mul,
     structural_key,
+    term_free_indices,
     validate,
     validate_expression,
 )
@@ -135,80 +138,109 @@ def _match_subsets(factors: tuple[FactorLike, ...],
             yield binding, rest
 
 
-def _rewrite_site(terms: tuple[Term, ...], ti: int, ratio, binding, rest,
-                  rule: RewriteRule, removed: int | None):
-    rest_expr = Expression((Term(ratio, rest),))
-    produced = mul(rest_expr, map_labels(rule.replacement, binding))
-    keep = [
-        u for i, u in enumerate(terms) if i != ti and i != removed
-    ]
-    return Expression(tuple(keep) + produced.terms)
-
-
-def _pattern_matches(session: Session, t: Term, pattern_term: Term, metavars):
-    """Yield (ratio, binding, rest) for every embedding of the pattern term
-    into ``t``, trying each signed symmetry arrangement of the pattern so a
+def _pattern_matches(t: Term, pattern_term: Term, variants, metavars):
+    """Yield (ratio, binding, rest) for every embedding into ``t`` of one of
+    the pattern term's signed symmetry arrangements ``variants``, so that a
     canonicalized subject still matches."""
-    seen = set()
-    for p_factors, p_sign in _level_variants(session, pattern_term.factors):
-        if (p_factors, p_sign) in seen:
-            continue
-        seen.add((p_factors, p_sign))
+    for p_factors, p_sign in variants:
         for binding, rest in _match_subsets(t.factors, p_factors, metavars):
             yield t.coeff / (pattern_term.coeff * p_sign), binding, rest
 
 
-def _apply_once(session: Session, current: Expression, rule: RewriteRule):
-    """Return the first rewrite that changes the expression, canonicalized,
-    or None when the rule is at a fixpoint."""
+class _CanonicalSum:
+    """A canonical expression kept as structural key -> term, with the keys
+    in sorted order: the buckets ``canform`` collects.
+
+    A rewrite replaces the terms under one or two keys by the terms the rule
+    produces; only those go through ``canform`` and are merged.  This equals
+    canonicalizing the whole rewritten expression because ``canonical_term``
+    returns every canonical term unchanged.
+    """
+
+    def __init__(self, expr: Expression):
+        self.terms = {structural_key(t): t for t in expr.terms}
+        self.keys = list(self.terms)  # canform's output is sorted by key
+
+    def expression(self) -> Expression:
+        return Expression(tuple(self.terms[k] for k in self.keys))
+
+    def replace(self, session: Session, removed, produced: Expression) -> bool:
+        """Replace the terms under the ``removed`` keys by ``produced``, a
+        product from ``mul`` (valid terms that share their free indices).
+
+        Returns False and changes nothing when the canonical form stays the
+        same, or when the remaining terms have other free indices than the
+        produced ones, which would make the sum invalid.
+        """
+        kept = next((k for k in self.keys if k not in removed), None)
+        if produced.terms and kept is not None and term_free_indices(
+            produced.terms[0]
+        ) != term_free_indices(self.terms[kept]):
+            return False
+        coeffs = {key: Fraction(0) for key in removed}
+        factors = {}
+        for t in canform(session, produced).terms:
+            key = structural_key(t)
+            if key not in coeffs:
+                old = self.terms.get(key)
+                coeffs[key] = old.coeff if old is not None else Fraction(0)
+            factors[key] = t.factors
+            coeffs[key] += t.coeff
+        changed = False
+        for key, coeff in coeffs.items():
+            old = self.terms.get(key)
+            if coeff == (old.coeff if old is not None else 0):
+                continue
+            changed = True
+            if coeff == 0:
+                del self.terms[key]
+                del self.keys[bisect_left(self.keys, key)]
+            else:
+                if old is None:
+                    insort(self.keys, key)
+                self.terms[key] = Term(coeff, factors[key])
+        return changed
+
+
+def _rewrite_once(session: Session, current: _CanonicalSum,
+                  rule: RewriteRule, variants) -> bool:
+    """Apply the first rewrite that changes the canonical form, scanning the
+    terms in canonical order; False when the rule is at a fixpoint."""
     pattern = rule.pattern.terms
-    if len(pattern) == 1:
-        p1 = pattern[0]
-        for ti, t in enumerate(current.terms):
-            for ratio, binding, rest in _pattern_matches(
-                session, t, p1, rule.metavars
-            ):
+    p1 = pattern[0]
+    for key in current.keys:
+        t = current.terms[key]
+        for ratio, binding, rest in _pattern_matches(
+            t, p1, variants, rule.metavars
+        ):
+            removed = (key,)
+            if len(pattern) == 2:
+                p2 = pattern[1]
+                partner_factors = tuple(
+                    map_labels(f, binding) for f in p2.factors
+                ) + rest
                 try:
-                    candidate = _rewrite_site(
-                        current.terms, ti, ratio, binding, rest, rule, None
-                    )
-                    candidate = canform(session, validate_expression(candidate))
+                    partner = validate(Term(ratio * p2.coeff, partner_factors))
                 except ValidationError:
                     continue
-                if candidate != current:
-                    return candidate
-        return None
-
-    p1, p2 = pattern
-    for ti, t in enumerate(current.terms):
-        for ratio, binding, rest in _pattern_matches(
-            session, t, p1, rule.metavars
-        ):
-            partner_factors = tuple(
-                map_labels(f, binding) for f in p2.factors
-            ) + rest
+                canon = canonical_term(session, partner)
+                if canon is None:
+                    continue
+                partner_key, rep = canon
+                u = current.terms.get(partner_key)
+                if partner_key == key or u is None or u.coeff != rep.coeff:
+                    continue
+                removed = (key, partner_key)
             try:
-                partner = validate(Term(ratio * p2.coeff, partner_factors))
+                produced = mul(
+                    Expression((Term(ratio, rest),)),
+                    map_labels(rule.replacement, binding),
+                )
             except ValidationError:
                 continue
-            canon = canonical_term(session, partner)
-            if canon is None:
-                continue
-            key, rep = canon
-            for tj, u in enumerate(current.terms):
-                if tj == ti:
-                    continue
-                if structural_key(u) == key and u.coeff == rep.coeff:
-                    try:
-                        candidate = _rewrite_site(
-                            current.terms, ti, ratio, binding, rest, rule, tj
-                        )
-                        candidate = canform(session, validate_expression(candidate))
-                    except ValidationError:
-                        continue
-                    if candidate != current:
-                        return candidate
-    return None
+            if current.replace(session, removed, produced):
+                return True
+    return False
 
 
 def apply1(session: Session, expr: Expression, rule) -> Expression:
@@ -223,10 +255,11 @@ def apply1(session: Session, expr: Expression, rule) -> Expression:
         if rule not in session.rules:
             raise SemanticError(f"no rule named {rule!r}")
         rule = session.rules[rule]
-    current = canform(session, expr)
+    current = _CanonicalSum(canform(session, expr))
+    variants = list(dict.fromkeys(  # distinct, in enumeration order
+        _level_variants(session, rule.pattern.terms[0].factors)
+    ))
     for _ in range(ITERATION_CAP):
-        new = _apply_once(session, current, rule)
-        if new is None:
-            return current
-        current = new
+        if not _rewrite_once(session, current, rule, variants):
+            return current.expression()
     raise IterationCapError(f"rule {rule.name!r} did not reach a fixpoint")

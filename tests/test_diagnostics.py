@@ -1,0 +1,72 @@
+"""Diagnostics of the script runner and the interactive loop: where a
+statement starts, exit statuses, and no raw tracebacks."""
+
+import io
+
+from indicial.cli import Evaluator, main, repl, run_script
+from indicial.parse import MAX_DEPTH
+
+
+def run(tmp_path, text):
+    path = tmp_path / "s.ind"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    status = run_script(str(path), out=out, err=err)
+    return status, out.getvalue(), err.getvalue()
+
+
+def boom(self, expr):
+    raise RuntimeError("boom")
+
+
+def test_evaluation_error_names_line_column_and_statement(tmp_path):
+    status, _, err = run(tmp_path, "imetric(g)$\n  ishow(x([a],[])*y([a],[]))$")
+    assert status == 2
+    assert err == ("line 2, column 3: statement 2: VarianceClashError: "
+                   "index 'a' repeated in covariant position\n")
+
+
+def test_assignment_error_points_at_the_assigned_name(tmp_path):
+    status, _, err = run(tmp_path, "w; w;\n\n   L: %th(9);")
+    assert status == 2
+    assert err.startswith("line 3, column 4: statement 3: HistoryError: ")
+
+
+def test_internal_error_in_run_script(tmp_path, monkeypatch):
+    monkeypatch.setattr(Evaluator, "_builtin_canform", boom)
+    status, out, err = run(tmp_path, "w;\n canform(w);\nv;")
+    assert status == 3
+    assert out == "(%o1) w\n"
+    assert err == "line 2, column 2: statement 2: internal error: RuntimeError: boom\n"
+
+
+def test_internal_error_through_main(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(Evaluator, "_builtin_canform", boom)
+    path = tmp_path / "s.ind"
+    path.write_text("imetric(g)$ ishow(canform(x([a],[])))$")
+    assert main(["--script", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "line 1, column 13: statement 2: internal error: RuntimeError: boom\n"
+    )
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_too_deep_nesting_is_a_parse_error(tmp_path):
+    status, out, err = run(tmp_path, "(" * 400 + "w" + ")" * 400 + ";")
+    assert (status, out) == (1, "")
+    assert err == ("parse error: expression nested too deeply "
+                   f"(line 1, column {MAX_DEPTH + 1})\n")
+
+
+def test_repl_reports_every_error_and_keeps_going(monkeypatch, capsys):
+    monkeypatch.setattr(Evaluator, "_builtin_canform", boom)
+    lines = iter(["canform(w);", "x([a],[])*y([a],[]);", "w;", "quit;"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+    assert repl() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "error: line 1, column 1: statement 1: internal error: RuntimeError: boom",
+        "error: line 1, column 1: statement 2: VarianceClashError: "
+        "index 'a' repeated in covariant position",
+        "(%o3) w",
+    ]

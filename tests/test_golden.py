@@ -1,5 +1,7 @@
-"""Byte-for-byte transcripts of the reference script and of a traced
-Euler-Lagrange run, compared against the files in ``tests/golden``."""
+"""Byte-for-byte transcripts of the reference script (also under several
+hash seeds and through ``python -m indicial``) and of a traced
+Euler-Lagrange run, compared against the files in ``tests/golden``; and
+the modules a script run loads."""
 
 import io
 import os
@@ -39,14 +41,43 @@ def test_euler_lagrange_trace_transcript(tmp_path, capsys):
     assert capsys.readouterr().out == golden("euler_lagrange.trace.txt")
 
 
-def test_python_dash_m_indicial():
+def run_python(args, hashseed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "indicial", "--script", str(SCRIPT)],
-        capture_output=True, text=True, env=env, timeout=120,
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
+
+
+def test_python_dash_m_indicial():
+    proc = run_python(["-m", "indicial", "--script", str(SCRIPT)])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == golden("maxwell.plain.txt")
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "12345"])
+def test_maxwell_transcript_under_hash_seeds(hashseed):
+    proc = run_python(["-m", "indicial", "--script", str(SCRIPT)], hashseed)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == golden("maxwell.plain.txt")
+
+
+def test_numpy_is_loaded_only_by_the_oracle():
+    code = (
+        "import contextlib, io, sys\n"
+        "import indicial\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = indicial.main(['--script', sys.argv[1]])\n"
+        "after_script = 'numpy' in sys.modules\n"
+        "indicial.random_assignment(indicial.Session(), [], dim=2)\n"
+        "print(status, after_import, after_script, 'numpy' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code, str(SCRIPT)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 False False True\n"

@@ -7,6 +7,7 @@ from indicial.errors import ParseError, UnknownCommandError
 from indicial.exprs import term_dummies
 from indicial.numeval import random_expression
 from indicial.parse import (
+    MAX_DEPTH,
     Call,
     FactorNode,
     HistRef,
@@ -91,6 +92,57 @@ def test_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("x([a],[]) ) ;")
     assert err.value.line == 1
+
+
+def test_statements_record_where_they_start():
+    statements = parse_program("imetric(g)$\n  L: x([a],[]);\n/* c */ w;")
+    assert [(s.line, s.col) for s in statements] == [(1, 1), (2, 3), (3, 9)]
+
+
+NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x([a],[])" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x([a],[])",
+    "unary plus": lambda n: "+" * n + "x([a],[])",
+    "exponents": lambda n: "w" + "^1" * n,
+    "call arguments": lambda n: "canform(" * n + "x([a],[])" + ")" * n,
+    "quoted covdiff": lambda n: (
+        "'covdiff(" * n + "x([a],[])" + "".join(f",i{k})" for k in range(n))
+    ),
+    "parenthesized negations": lambda n: "(-" * (n // 2) + "w" + ")" * (n // 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_up_to_the_limit_evaluates(session, shape):
+    value = ev(NESTINGS[shape](MAX_DEPTH), session)
+    assert len(value.terms) == 1
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_sibling_nestings_do_not_add_up(session, shape):
+    text = " + ".join(NESTINGS[shape](MAX_DEPTH - 2) for _ in range(3))
+    assert len(ev(f"canform({text})", session).terms) == 1
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 2, 400])
+def test_nesting_past_the_limit_is_a_parse_error(session, shape, depth):
+    text = NESTINGS[shape](depth)
+    for run in (parse_expression, lambda t: ev(t, session)):
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            run(text)
+        assert err.value.line == 1
+        assert 1 <= err.value.column <= len(text)
+
+
+def test_nesting_error_points_at_the_token_that_went_too_deep():
+    with pytest.raises(ParseError) as err:
+        parse_program("w;\n" + "(" * 400 + "w" + ")" * 400 + ";")
+    assert (err.value.line, err.value.column) == (2, MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as err:
+        parse_expression("[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1))
+    assert (err.value.line, err.value.column) == (1, MAX_DEPTH + 1)
+    parse_expression("[" * MAX_DEPTH + "]" * MAX_DEPTH)
 
 
 def test_history_references():
