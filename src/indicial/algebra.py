@@ -1,21 +1,23 @@
 """Algebraic passes: expansion, metric/Kronecker contraction, canonical form.
 
-Canonicalization works per term by brute-force minimization.  The candidate
-set is the orbit of the term under three commuting kinds of rearrangement:
-reordering of factors that share the same label-free shape, permutations of
-each factor's ordinary derivative indices (partials commute), and the label
-permutations of every declared symmetry block (signed for antisymmetric
-blocks).  Each candidate has its dummies renamed in first-occurrence order
-and the lexicographically least structure wins.  If the minimum is reachable
-with both signs the term is identically zero and is dropped.
+A term's rearrangements reorder its factors within groups of equal
+label-free shape (``coarse_key``), crossed with each factor's signed
+``arrangements``: declared symmetry blocks whose slots share a variance,
+commuting derivative indices, and for an inert derivative its body.  With
+dummies renamed in first-occurrence order the least ``structural_key`` is
+canonical; ``canonical_term`` finds it by a depth-first search that keeps
+only the least key prefix, as Butler-Portugal canonicalization does.
+
+Open limitation: the metric is not in the group.  No dummy pair swaps its
+upper and lower slots and a block of mixed variance is not applied, so the
+vanishing ``F_a^b F_b^c F_c^a`` (``F`` antisymmetric) stays non-zero.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial
+from itertools import accumulate, combinations, groupby, islice, permutations, product
+from math import prod
 
 from .errors import CanformSizeError, ConflictingDeclarationError, SemanticError
 from .exprs import (
@@ -27,13 +29,16 @@ from .exprs import (
     KDELTA,
     Term,
     coarse_key,
+    iter_positions,
+    label_sort_key,
     rename_term_dummies,
     structural_key,
+    term_dummies,
     validate_expression,
 )
 from .session import Session, SymmetryBlock
 
-CANDIDATE_CAP = factorial(10)
+SEARCH_CAP = 100_000
 
 
 def expand(session: Session, expr: Expression) -> Expression:
@@ -268,155 +273,138 @@ def contract(session: Session, expr: Expression) -> Expression:
 # canonical form
 
 
-def _applicable_blocks(session: Session, f: Factor):
-    blocks = []
-    for b in session.blocks_for(f.name):
-        if any(p >= f.rank for p in b.positions):
-            continue
-        variances = {f.slots[p][1] for p in b.positions}
-        if len(variances) == 1:
-            blocks.append(b)
-    return blocks
-
-
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 for an even permutation of 0..n-1, -1 for an odd one."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
-def _factor_variants(session: Session, f: FactorLike):
-    """All signed rearrangements of one factor-like object."""
+def _distinct_orders(items):
+    """The distinct orders of ``items``, lexicographic in structural keys."""
+    if not items:
+        yield ()
+    for first in sorted(set(items), key=structural_key):
+        rest = list(items)
+        rest.remove(first)
+        for order in _distinct_orders(rest):
+            yield (first,) + order
+
+
+def _listed(items) -> list:
+    """``items`` as a list, or ``CanformSizeError`` past ``SEARCH_CAP`` of
+    them: the search weighs each arrangement of a factor it places."""
+    items = list(islice(items, SEARCH_CAP + 1))
+    if len(items) > SEARCH_CAP:
+        raise CanformSizeError(f"a factor has over {SEARCH_CAP} arrangements")
+    return items
+
+
+def _coarse_groups(factors) -> list[tuple[FactorLike, ...]]:
+    """Runs of equal label-free shape, in shape order; stable within a run."""
+    return [tuple(g) for _, g in groupby(sorted(factors, key=coarse_key),
+                                         key=coarse_key)]
+
+
+def arrangements(session: Session, f: FactorLike):
+    """Yield the signed rearrangements of one factor, in a fixed order.
+
+    A plain factor permutes the labels of each declared block whose slots
+    share a variance (the first block varies slowest), then its derivative
+    indices.  An inert derivative takes each distinct order of its body
+    within the body's coarse groups, crossed with each body factor's.
+    """
     if isinstance(f, InertDeriv):
-        return [
-            (InertDeriv(body, f.index), sign)
-            for body, sign in list(_level_variants(session, f.factors))
-        ]
-    options = [(f.slots, 1)]
-    for block in _applicable_blocks(session, f):
-        extended = []
-        for slots, sign in options:
-            labels = [slots[p][0] for p in block.positions]
-            for perm in permutations(range(len(labels))):
-                new_slots = list(slots)
-                for pos, src in zip(block.positions, perm):
-                    new_slots[pos] = (labels[src], slots[pos][1])
-                psign = _perm_sign(perm) if block.kind == "anti" else 1
-                extended.append((tuple(new_slots), sign * psign))
-        options = extended
-    variants = []
-    for slots, sign in options:
-        for dperm in permutations(f.derivs):
-            variants.append((Factor(f.name, slots, dperm), sign))
-    return variants
+        groups = _coarse_groups(f.factors)
+        for order in product(*(_listed(_distinct_orders(g)) for g in groups)):
+            body = [g for group in order for g in group]
+            for combo in product(*(_listed(arrangements(session, g)) for g in body)):
+                sign = prod(s for _, s in combo)
+                yield InertDeriv(tuple(a for a, _ in combo), f.index), sign
+        return
+    blocks = [b for b in session.blocks_for(f.name)
+              if all(p < f.rank for p in b.positions)
+              and len({f.slots[p][1] for p in b.positions}) == 1]
+    choices = [_listed(permutations(range(len(b.positions)))) for b in blocks]
+    for *perms, derivs in product(*choices, _listed(permutations(f.derivs))):
+        slots = list(f.slots)
+        sign = 1
+        for block, perm in zip(blocks, perms):
+            for pos, src in zip(block.positions, perm):
+                slots[pos] = (f.slots[block.positions[src]][0], f.slots[pos][1])
+            if block.kind == "anti":
+                sign *= _perm_sign(perm)
+        yield Factor(f.name, tuple(slots), derivs), sign
 
 
-def _distinct_permutations(items, key):
-    """Orderings of ``items`` that differ under ``key``; duplicates of
-    structurally identical items are emitted once."""
-    pool = sorted(items, key=key)
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        previous = None
-        for i, item in enumerate(remaining):
-            k = key(item)
-            if previous is not None and k == previous:
-                continue
-            previous = k
-            for rest in rec(remaining[:i] + remaining[i + 1:]):
-                yield (item,) + rest
-
-    yield from rec(pool)
-
-
-def _level_variants(session: Session, factors: tuple[FactorLike, ...]):
-    """Signed arrangements of a factor tuple: orderings within equal-shape
-    groups crossed with every per-factor variant."""
-    order = sorted(range(len(factors)), key=lambda i: (coarse_key(factors[i]), i))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and coarse_key(factors[groups[-1][0]]) == coarse_key(factors[i]):
-            groups[-1].append(i)
+def _position_keys(f: FactorLike, dummies, numbering: dict):
+    """``f``'s label keys after the dummies in ``numbering``; the ones it adds."""
+    keys = []
+    new: dict[str, int] = {}
+    for lbl, _ in iter_positions(f):
+        if lbl in dummies:
+            n = numbering.get(lbl) or new.setdefault(lbl, len(numbering) + len(new) + 1)
+            keys.append((1, n, ""))  # label_sort_key of the renamed dummy
         else:
-            groups.append([i])
-
-    def group_orders(g):
-        return _distinct_permutations(g, key=lambda i: structural_key(factors[i]))
-
-    for group_perm in product(*(group_orders(g) for g in groups)):
-        arrangement = [i for g in group_perm for i in g]
-        per_factor = [_factor_variants(session, factors[i]) for i in arrangement]
-        for combo in product(*per_factor):
-            fs = tuple(v for v, _ in combo)
-            sign = 1
-            for _, s in combo:
-                sign *= s
-            yield fs, sign
-
-
-def _variant_count(session: Session, f: FactorLike) -> int:
-    if isinstance(f, InertDeriv):
-        return _level_count(session, f.factors)
-    n = factorial(len(f.derivs))
-    for block in _applicable_blocks(session, f):
-        n *= factorial(len(block.positions))
-    return n
-
-
-def _level_count(session: Session, factors) -> int:
-    n = 1
-    groups: dict = {}
-    for f in factors:
-        groups.setdefault(coarse_key(f), []).append(f)
-    for members in groups.values():
-        n *= factorial(len(members))
-        for k in Counter(structural_key(f) for f in members).values():
-            n //= factorial(k)
-    for f in factors:
-        n *= _variant_count(session, f)
-    return n
+            keys.append(label_sort_key(lbl))
+    return tuple(keys), new
 
 
 def canonical_term(session: Session, t: Term):
-    """Minimize one term over its rearrangement orbit.
+    """The least rearrangement of one term: (its ``structural_key``, the
+    canonical Term), or None when the term is identically zero.
 
-    Returns (key, canonical Term) or None when the orbit reaches the same
-    structure with both signs, which forces the term to vanish.
+    Each position's factor shape is fixed, so keys compare label by label,
+    and a factor's keys depend only on the factors before it.  Each step
+    places an unplaced factor of the current coarse group, in one of its
+    ``arrangements``, numbers the dummies it meets first, and keeps only the
+    least choices.  Ties wait on a stack, searched depth first; a step whose
+    least keys exceed the best branch's is dropped.  Completed branches are
+    renamed by ``rename_term_dummies``.  One structure reached with both
+    signs makes the term its own negative.  Raises ``CanformSizeError``
+    after ``SEARCH_CAP`` weighed arrangements.
     """
-    count = _level_count(session, t.factors)
-    if count > CANDIDATE_CAP:
-        raise CanformSizeError(
-            f"term needs {count} canonicalization candidates (cap {CANDIDATE_CAP})"
-        )
-    best_key = None
-    best_term = None
-    best_signs: set[int] = set()
-    for fs, sign in _level_variants(session, t.factors):
-        candidate = rename_term_dummies(Term(t.coeff * sign, fs))
-        key = structural_key(candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_term = candidate
-            best_signs = {sign}
-        elif key == best_key:
-            best_signs.add(sign)
-    if len(best_signs) == 2:
-        return None
-    return best_key, best_term
+    dummies = term_dummies(t)
+    groups = _coarse_groups(t.factors)
+    group_at = dict(zip(accumulate(map(len, groups), initial=0), groups))
+    best: list[tuple] = []  # the least keys of each position so far
+    found: dict[int, Term] = {}  # the first renamed leaf of each sign
+    work = 0
+    # (placed factors, unplaced factors of their group, numbering, sign)
+    stack = [((), (), {}, 1)]
+    while stack:
+        placed, remaining, numbering, sign = stack.pop()
+        depth = len(placed)
+        if depth == len(t.factors):
+            found.setdefault(sign, rename_term_dummies(Term(t.coeff * sign, placed)))
+            if len(found) == 2:
+                return None
+            continue
+        remaining = remaining or group_at[depth]
+        least, ties = None, []
+        for f in dict.fromkeys(remaining):  # identical factors: one branch
+            for arranged, s in arrangements(session, f):
+                work += 1
+                if work > SEARCH_CAP:
+                    raise CanformSizeError(f"canonicalizing a term of {len(t.factors)}"
+                                           f" factors takes over {SEARCH_CAP} steps")
+                keys, new = _position_keys(arranged, dummies, numbering)
+                if least is None or keys < least:
+                    least, ties = keys, []
+                if keys == least:
+                    ties.append((f, arranged, s, new))
+        if depth < len(best) and least > best[depth]:
+            continue
+        if depth == len(best) or least < best[depth]:
+            del best[depth:]
+            best.append(least)
+            found.clear()
+        for f, arranged, s, new in reversed(ties):
+            child = numbering if len(ties) == 1 else dict(numbering)
+            child.update(new)
+            rest = list(remaining)
+            rest.remove(f)
+            stack.append((placed + (arranged,), tuple(rest), child, sign * s))
+    (canon,) = found.values()
+    return structural_key(canon), canon
 
 
 def canform(session: Session, expr: Expression) -> Expression:

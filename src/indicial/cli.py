@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 
@@ -537,6 +536,8 @@ def repl(session: Session | None = None, fmt: str = "plain",
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that importing the library does not load it
+
     parser = argparse.ArgumentParser(
         prog="indicial",
         description="Symbolic indicial tensor algebra engine",

@@ -59,7 +59,7 @@ BUILTINS = {
 PUNCT = set("()[]{},;$:+-*/^='_")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str
     value: str
@@ -148,65 +148,65 @@ def tokenize(text: str) -> list[Token]:
 # --- syntax tree -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorNode:
     name: str
     slots: tuple[tuple[str, bool], ...]
     derivs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistRef:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListNode:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inert:
     body: object
     index: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wrap:
     body: object
     indices: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bin:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """Operands added left to right; ``ops[i]`` (``+`` or ``-``) stands
     before ``operands[i + 1]``."""
@@ -215,7 +215,7 @@ class Sum:
     ops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     """Operands multiplied left to right; ``ops[i]`` (``*`` or ``/``) stands
     before ``operands[i + 1]``."""
@@ -224,7 +224,7 @@ class Product:
     ops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One statement; ``line`` and ``col`` locate its first token."""
 

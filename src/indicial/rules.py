@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
-from .algebra import _level_variants, canform, canonical_term
+from .algebra import arrangements, canform, canonical_term
 from .errors import (
     IterationCapError,
     SemanticError,
@@ -20,6 +21,7 @@ from .exprs import (
     FactorLike,
     InertDeriv,
     Term,
+    coarse_key,
     free_indices,
     iter_positions,
     map_labels,
@@ -138,9 +140,19 @@ def _match_subsets(factors: tuple[FactorLike, ...],
             yield binding, rest
 
 
+def _pattern_arrangements(session: Session, pattern_term: Term):
+    """Each combination of the pattern factors' signed ``arrangements``, the
+    factors in canonical order.  ``_match_subsets`` tries every factor order
+    of the subject, so other orders of the pattern would repeat matches."""
+    factors = sorted(pattern_term.factors,
+                     key=lambda f: (coarse_key(f), structural_key(f)))
+    return [(tuple(a for a, _ in combo), prod(s for _, s in combo))
+            for combo in product(*(arrangements(session, f) for f in factors))]
+
+
 def _pattern_matches(t: Term, pattern_term: Term, variants, metavars):
     """Yield (ratio, binding, rest) for every embedding into ``t`` of one of
-    the pattern term's signed symmetry arrangements ``variants``, so that a
+    the pattern term's signed arrangements ``variants``, so that a
     canonicalized subject still matches."""
     for p_factors, p_sign in variants:
         for binding, rest in _match_subsets(t.factors, p_factors, metavars):
@@ -256,9 +268,7 @@ def apply1(session: Session, expr: Expression, rule) -> Expression:
             raise SemanticError(f"no rule named {rule!r}")
         rule = session.rules[rule]
     current = _CanonicalSum(canform(session, expr))
-    variants = list(dict.fromkeys(  # distinct, in enumeration order
-        _level_variants(session, rule.pattern.terms[0].factors)
-    ))
+    variants = _pattern_arrangements(session, rule.pattern.terms[0])
     for _ in range(ITERATION_CAP):
         if not _rewrite_once(session, current, rule, variants):
             return current.expression()

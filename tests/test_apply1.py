@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from indicial import algebra, rules
-from indicial.algebra import _level_variants, canform, canonical_term, decsym
+from indicial.algebra import canform, canonical_term, decsym
 from indicial.calculus import extdiff
 from indicial.errors import IterationCapError, ValidationError
 from indicial.exprs import (
@@ -23,22 +23,13 @@ from indicial.exprs import (
     validate_expression,
 )
 from indicial.numeval import random_expression
-from indicial.rules import _match_subsets, apply1, defrule, matchdeclare
+from indicial.rules import apply1, defrule, matchdeclare
 
 from conftest import ev, make_rng
+from orbit_reference import reference_matches as _reference_matches
 
 
 # --- the reference -----------------------------------------------------------
-
-
-def _reference_matches(session, t, pattern_term, metavars):
-    seen = set()
-    for p_factors, p_sign in _level_variants(session, pattern_term.factors):
-        if (p_factors, p_sign) in seen:
-            continue
-        seen.add((p_factors, p_sign))
-        for binding, rest in _match_subsets(t.factors, p_factors, metavars):
-            yield t.coeff / (pattern_term.coeff * p_sign), binding, rest
 
 
 def _reference_site(terms, ti, ratio, binding, rest, rule, removed):

@@ -1,0 +1,336 @@
+"""The depth-first canonicalizer against the orbit enumeration it replaced
+(``orbit_reference``) and against sympy's ``canon_bp``; its size and depth
+guards; rule matching in the enumeration's order; and the open
+mixed-variance defect, pinned."""
+
+import random
+import time
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from indicial import Session, algebra
+from indicial.algebra import SEARCH_CAP, canform, canonical_term, contract, decsym
+from indicial.errors import CanformSizeError, ValidationError
+from indicial.exprs import Expression, InertDeriv, Term, fac, structural_key, validate
+from indicial.numeval import DEFAULT_POOL, random_expression
+from indicial.printing import render_plain
+from indicial.rules import (
+    _pattern_arrangements,
+    _pattern_matches,
+    apply1,
+    defrule,
+    matchdeclare,
+)
+
+from conftest import ev, make_rng
+from orbit_reference import _level_count, reference_canonical_term, reference_matches
+
+ORBIT_LIMIT = 10_000
+
+
+def make_session(metric: bool, symmetries: bool) -> Session:
+    s = Session()
+    if metric:
+        s.set_metric("g")
+    if symmetries:
+        decsym(s, "T", 2, 0, [("anti", "all")], [])
+        decsym(s, "S", 2, 0, [("sym", "all")], [])
+        decsym(s, "F", 2, 0, [("anti", "all")], [])
+        decsym(s, "R", 4, 0, [("anti", [1, 2]), ("anti", [3, 4])], [])
+    return s
+
+
+@pytest.fixture
+def field_session():
+    return make_session(metric=True, symmetries=True)
+
+
+def mixed_chain(rng: random.Random, n: int) -> Term:
+    """F_{x1}^{x2} F_{x2}^{x3} ... F_{xn}^{x1}, factors shuffled."""
+    factors = [fac("F", cov=(f"x{i}",), contra=(f"x{(i + 1) % n}",))
+               for i in range(n)]
+    rng.shuffle(factors)
+    return Term(Fraction(rng.choice([-3, 1, 2])), tuple(factors))
+
+
+def explicit_chain(rng: random.Random, n: int) -> Term:
+    """F_{u1 v1} g^{v1 u2} ... F_{un vn} g^{vn u1}: the chain written fully
+    lowered with explicit metrics, slots and factors shuffled."""
+    factors = []
+    for i in range(n):
+        pair = [f"u{i}", f"v{i}"]
+        rng.shuffle(pair)
+        factors.append(fac("F", cov=pair))
+        link = [f"v{i}", f"u{(i + 1) % n}"]
+        rng.shuffle(link)
+        factors.append(fac("g", contra=link))
+    rng.shuffle(factors)
+    return Term(Fraction(1), tuple(factors))
+
+
+def riemann_square(perm) -> Term:
+    """R_{abcd} R^{perm(abcd)}."""
+    labels = "abcd"
+    return Term(Fraction(1), (fac("R", cov=tuple(labels)),
+                              fac("R", contra=tuple(labels[k] for k in perm))))
+
+
+def with_inert(rng: random.Random, t: Term) -> Term:
+    """``t`` with some of its factors moved into an inert derivative."""
+    chosen = set(rng.sample(range(len(t.factors)), rng.randint(1, len(t.factors))))
+    body = tuple(f for i, f in enumerate(t.factors) if i in chosen)
+    rest = tuple(f for i, f in enumerate(t.factors) if i not in chosen)
+    if rng.random() < 0.5:
+        rest += (fac("x", contra=("z",)),)  # the derivative index is a dummy
+    return Term(t.coeff, (InertDeriv(body, "z"),) + rest)
+
+
+def assert_matches_reference(session, terms):
+    compared = 0
+    mismatches = []
+    for t in terms:
+        if _level_count(session, t.factors) > ORBIT_LIMIT:
+            continue
+        compared += 1
+        expected = reference_canonical_term(session, t)
+        if canonical_term(session, t) != expected:
+            mismatches.append(t)
+    assert mismatches == []
+    return compared
+
+
+# --- the differential oracle ---------------------------------------------------
+
+
+@pytest.mark.parametrize("metric", [True, False])
+@pytest.mark.parametrize("symmetries", [True, False])
+def test_search_equals_orbit_enumeration_on_random_terms(metric, symmetries):
+    s = make_session(metric, symmetries)
+    rng = make_rng(61 + 2 * metric + symmetries)
+    py_rng = random.Random(61)
+    pool = DEFAULT_POOL + (("R", 4),)
+    terms = []
+    for i in range(120):
+        free = [(), (("u", False),), (("u", False), ("v", True))][i % 3]
+        for t in random_expression(s, rng, free=free, max_factors=5, pool=pool).terms:
+            terms.append(t)
+            wrapped = with_inert(py_rng, t)
+            try:
+                terms.append(validate(wrapped))
+            except ValidationError:
+                pass
+    assert assert_matches_reference(s, terms) > 300
+
+
+def test_search_equals_orbit_enumeration_on_invariants(field_session):
+    rng = random.Random(7)
+    terms = [mixed_chain(rng, n) for n in range(3, 8)]
+    terms += [explicit_chain(rng, n) for n in (2, 3) for _ in range(3)]
+    terms += [riemann_square(p) for p in permutations(range(4))]
+    assert assert_matches_reference(field_session, terms) == len(terms)
+
+
+def test_search_weighs_few_arrangements(field_session, monkeypatch):
+    weighed = []
+    original = algebra._position_keys
+
+    def counting(*args):
+        weighed.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_position_keys", counting)
+    canonical_term(field_session, mixed_chain(random.Random(8), 8))
+    assert len(weighed) < 500  # the orbit has 8! = 40,320 points
+
+
+def test_identical_factors_are_placed_once(field_session):
+    """Ten copies of ``phi`` give one branch, not 10! equal ones."""
+    t = ev("phi^10*x([m],[])*x([],[m])", field_session).terms[0]
+    assert canonical_term(field_session, t) == reference_canonical_term(field_session, t)
+
+
+def test_explicit_f5_vanishes(field_session):
+    rng = random.Random(9)
+    assert canform(field_session, Expression((explicit_chain(rng, 5),))).is_zero()
+    assert not canform(field_session, Expression((explicit_chain(rng, 4),))).is_zero()
+
+
+# --- sympy ----------------------------------------------------------------------
+
+
+def test_zeros_and_classes_agree_with_sympy_canon_bp(field_session):
+    """Uniform variance, where the two groups agree: sympy's index type is
+    given no metric, so neither side swaps a dummy's slots."""
+    pytest.importorskip("sympy")
+    from sympy.tensor.tensor import (
+        TensorHead,
+        TensorIndexType,
+        TensorSymmetry,
+        canon_bp,
+        tensor_indices,
+    )
+
+    L = TensorIndexType("L", dummy_name="L", metric_symmetry=0)
+    heads = {
+        "F": TensorHead("F", [L, L], TensorSymmetry.fully_symmetric(-2)),
+        "g": TensorHead("g", [L, L], TensorSymmetry.fully_symmetric(2)),
+        "R": TensorHead("R", [L] * 4, TensorSymmetry.direct_product(-2, -2)),
+    }
+    indices = {}
+
+    def to_sympy(t):
+        expr = 1
+        for f in t.factors:
+            args = []
+            for lbl, up in f.slots:
+                if lbl not in indices:
+                    indices[lbl] = tensor_indices(lbl, L)
+                args.append(indices[lbl] if up else -indices[lbl])
+            expr = expr * heads[f.name](*args)
+        return expr
+
+    rng = random.Random(10)
+    for n in range(2, 6):
+        t = explicit_chain(rng, n)
+        ours = canonical_term(field_session, t)
+        assert (ours is None) == (canon_bp(to_sympy(t)) == 0), n
+    # R_{abcd} R^{pi(abcd)}: equal canonical forms with the same relative
+    # signs on both sides
+    classes = {}
+    for p in permutations(range(4)):
+        t = riemann_square(p)
+        key, rep = canonical_term(field_session, t)
+        theirs = canon_bp(to_sympy(t))
+        coeff, monomial = theirs.coeff, theirs / theirs.coeff
+        classes.setdefault(key, set()).add((monomial, coeff * rep.coeff))
+    assert len({m for members in classes.values() for m, _ in members}) == len(classes)
+    for members in classes.values():
+        assert len(members) == 1
+
+
+# --- size and depth -------------------------------------------------------------
+
+
+def test_product_of_2000_distinct_factors():
+    s = Session()
+    n = 2000
+    t = Term(Fraction(1), tuple(
+        fac(f"X{i}", cov=(f"a{i}",), contra=(f"a{(i + 1) % n}",)) for i in range(n)
+    ))
+    key, canon = canonical_term(s, t)
+    assert len(canon.factors) == n
+    assert canonical_term(s, canon) == (key, canon)
+
+
+def test_ring_of_identical_factors_is_bounded():
+    """200 interchangeable factors tie 200 ways at the first step; the cap
+    stops the search instead of following every rotation."""
+    s = Session()
+    n = 200
+    t = Term(Fraction(1), tuple(
+        fac("x", cov=(f"a{i}",), contra=(f"a{(i + 1) % n}",)) for i in range(n)
+    ))
+    start = time.perf_counter()
+    try:
+        canonical_term(s, t)
+    except CanformSizeError as exc:
+        assert str(SEARCH_CAP) in str(exc)
+    assert time.perf_counter() - start < 10
+
+
+def test_oversized_factors_are_refused_without_listing_them():
+    """An 11-slot block or eleven interchangeable factors in an inert body
+    have more than SEARCH_CAP arrangements; long bodies of distinct factors
+    and repeated identical ones are cheap."""
+    s = Session()
+    decsym(s, "T", 11, 0, [("sym", "all")], [])
+    labels = [f"a{i}" for i in range(11)]
+    vectors = tuple(fac("x", cov=(lbl,)) for lbl in labels)
+    for t in (Term(Fraction(1), (fac("T", cov=labels),)),
+              Term(Fraction(1), (InertDeriv(vectors, "m"),))):
+        with pytest.raises(CanformSizeError):
+            canonical_term(s, t)
+    long_body = tuple(fac(f"X{i}", cov=(f"b{i}",)) for i in range(1500))
+    assert canonical_term(s, Term(Fraction(1), (InertDeriv(long_body, "m"),)))
+    phis = (fac("phi"),) * 12 + (fac("x", cov=("m",)),)
+    assert canonical_term(s, Term(Fraction(1), (InertDeriv(phis, "n"),)))
+
+
+# --- rule matching ---------------------------------------------------------------
+
+
+def distinct(matches):
+    out = []
+    for ratio, binding, rest in matches:
+        item = (ratio, sorted(binding.items()), rest)
+        if item not in out:
+            out.append(item)
+    return out
+
+
+def test_pattern_matches_come_in_the_enumeration_order(field_session):
+    s = field_session
+    decsym(s, "H", 0, 2, [], [("anti", "all")])
+    decsym(s, "P", 3, 0, [("sym", [1, 2])], [])
+    matchdeclare(s, ["a", "b", "c"])
+    patterns = [
+        "extdiff(A([a],[]),b)",
+        "S([a,b],[])*x([],[a])",
+        "x([a],[])*x([b],[])*S([],[a,b])",
+        "P([a,b,c],[])*y([],[c])",
+        "'covdiff('covdiff(H([],[a,b]),b),a)",
+        "'covdiff(x([a],[])*x([b],[])*S([],[a,b]),c)",
+        "A([a],[],b,c)",
+        "x([b],[])*x([a],[])",
+        "x([a],[])*y([b],[])",
+    ]
+    subjects = [
+        "A([m],[],n)*T([],[m,n])",
+        "S([m,n],[])*x([],[m])*x([],[n])",
+        "x([m],[])*x([n],[])*S([],[m,n])*x([k],[])*x([],[k])",
+        "x([m],[])*x([n],[])*S([],[p,n])*A([],[m],p)",
+        "P([m,n,k],[])*y([],[k])*y([],[m])*z([],[n])",
+        "'covdiff('covdiff(H([],[m,n]),n),m)",
+        "'covdiff(x([m],[])*x([n],[])*S([],[m,n]),k)*w([],[k])",
+        "A([m],[],n,k)*S([],[n,k])",
+        "A([m],[],n,k) + A([k],[],n,m)",
+        "x([m],[])*x([n],[])*y([k],[])*y([l],[])",
+    ]
+    for p_text in patterns:
+        pattern = ev(p_text, s).terms[0]
+        arranged = _pattern_arrangements(s, pattern)
+        metavars = frozenset("abc")
+        for s_text in subjects:
+            for t in canform(s, ev(s_text, s)).terms:
+                ours = distinct(_pattern_matches(t, pattern, arranged, metavars))
+                assert ours == distinct(reference_matches(s, t, pattern, metavars))
+
+
+# --- the open mixed-variance defect ------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason="the metric is not part of the group")
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_odd_mixed_chain_vanishes(field_session, n):
+    t = mixed_chain(random.Random(n), n)
+    assert canform(field_session, Expression((t,))).is_zero()
+
+
+@pytest.mark.xfail(strict=True, reason="the metric is not part of the group")
+def test_contracted_explicit_f3_vanishes(field_session):
+    e = Expression((explicit_chain(random.Random(3), 3),))
+    assert canform(field_session, contract(field_session, e)).is_zero()
+
+
+def test_curl_rule_still_fires_on_a_mixed_contraction(session):
+    """What a metric-aware dummy group must keep: the canonical form leaves
+    ``V_{p,r}`` in the order the rule's pattern matches."""
+    matchdeclare(session, ["a", "b"])
+    defrule(session, "Curl", ev("extdiff(V([a],[]),b)", session),
+            ev("G([a,b],[])", session))
+    e = ev("extdiff(V([p],[]),r)*U([],[p,r])", session)
+    out = apply1(session, e, "Curl")
+    assert render_plain(out) == "- G_{%1 %2}*U^{%2 %1}"
+    assert structural_key(out) == structural_key(canform(session, out))
