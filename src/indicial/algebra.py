@@ -33,7 +33,6 @@ from .exprs import (
     label_sort_key,
     rename_term_dummies,
     structural_key,
-    term_dummies,
     validate_expression,
 )
 from .session import Session, SymmetryBlock
@@ -362,7 +361,7 @@ def canonical_term(session: Session, t: Term):
     signs makes the term its own negative.  Raises ``CanformSizeError``
     after ``SEARCH_CAP`` weighed arrangements.
     """
-    dummies = term_dummies(t)
+    dummies = frozenset(t.indices.dummies)
     groups = _coarse_groups(t.factors)
     group_at = dict(zip(accumulate(map(len, groups), initial=0), groups))
     best: list[tuple] = []  # the least keys of each position so far

@@ -34,7 +34,6 @@ from .exprs import (
     mul,
     rename_term_dummies,
     scale,
-    term_dummies,
     validate,
     validate_expression,
 )
@@ -112,7 +111,7 @@ def expand_components(session: Session, expr: Expression) -> Expression:
 
 def _avoid_dummy(expr: Expression, label: str) -> Expression:
     """Rename dummies in terms where ``label`` is already a dummy pair."""
-    if not any(label in term_dummies(t) for t in expr.terms):
+    if not any(label in t.indices.dummies for t in expr.terms):
         return expr
     start = int(label[1:]) + 1 if is_dummy_label(label) else 1
     return Expression(tuple(rename_term_dummies(t, start) for t in expr.terms))
@@ -194,6 +193,7 @@ def covdiff(session: Session, expr: Expression, index: str,
     floor = int(index[1:]) if is_dummy_label(index) else 0
     pieces = [idiff(expr, index)]
     for t in expr.terms:
+        d = dummy_label(max(t.indices.top, floor) + 1)  # each correction's dummy
         for pos, f in enumerate(t.factors):
             if isinstance(f, InertDeriv):
                 raise InertOperatorError(
@@ -202,7 +202,6 @@ def covdiff(session: Session, expr: Expression, index: str,
             if f.name in CONSTANT_NAMES:
                 continue
             for sp, (lbl, up) in enumerate(f.slots):
-                d = dummy_label(max(max_dummy_number(t), floor) + 1)
                 slots = f.slots[:sp] + ((d, up),) + f.slots[sp + 1:]
                 shifted = Factor(f.name, slots, f.derivs)
                 if up:
@@ -214,7 +213,6 @@ def covdiff(session: Session, expr: Expression, index: str,
                 factors = t.factors[:pos] + (shifted,) + t.factors[pos + 1:]
                 pieces.append(ex(Term(t.coeff * sign, factors + (gamma,))))
             for dp, dlbl in enumerate(f.derivs):
-                d = dummy_label(max(max_dummy_number(t), floor) + 1)
                 derivs = f.derivs[:dp] + (d,) + f.derivs[dp + 1:]
                 shifted = Factor(f.name, f.slots, derivs)
                 gamma = _gamma_factor(index, dlbl, d)
@@ -313,9 +311,7 @@ def fdiff(session: Session, expr: Expression, target: Factor) -> Expression:
         raise PatternIndexCollisionError(
             f"target indices {sorted(clash)} occur free in the expression"
         )
-    if any(
-        lbl in term_dummies(t) for lbl in t_labels for t in expr.terms
-    ):
+    if any(lbl in t.indices.dummies for lbl in t_labels for t in expr.terms):
         expr = Expression(tuple(rename_term_dummies(t) for t in expr.terms))
 
     out: list[Term] = []

@@ -8,13 +8,21 @@ always count as covariant positions.  Inert covariant derivatives are
 wrappers around a monomial; they distribute over sums at construction so a
 term is always a rational coefficient times a flat multiset of factor-like
 objects.
+
+All of these objects are immutable.  A term's index structure (its labels
+with their variances, its dummy pairs, its free indices and its highest
+generated dummy) is therefore computed once, by one walk of its positions,
+and cached on the term as ``Term.indices``.  That cache is why ``Term``
+keeps its instance ``__dict__`` (no ``slots=True``); the summary is not a
+field, so it takes no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from functools import cached_property
+from typing import Iterator, NamedTuple, Union
 
 from .errors import (
     ArityMismatchError,
@@ -60,14 +68,6 @@ class Factor:
     derivs: tuple[str, ...] = ()
 
     @property
-    def cov(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, up in self.slots if not up)
-
-    @property
-    def contra(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, up in self.slots if up)
-
-    @property
     def rank(self) -> int:
         return len(self.slots)
 
@@ -91,10 +91,38 @@ class InertDeriv:
 FactorLike = Union[Factor, InertDeriv]
 
 
+class IndexSummary(NamedTuple):
+    """A term's index structure, from one walk of its positions: each label
+    in first-occurrence order with the ``up`` flags of its positions, the
+    labels that occur twice (in that order), the (label, up) pairs of those
+    that occur once, and the highest generated-dummy number (0 if none)."""
+
+    variances: dict[str, list[bool]]
+    dummies: tuple[str, ...]
+    free: frozenset[tuple[str, bool]]
+    top: int
+
+
 @dataclass(frozen=True)
 class Term:
     coeff: Fraction
     factors: tuple[FactorLike, ...] = ()
+
+    @cached_property
+    def indices(self) -> IndexSummary:
+        """The term's index summary, computed on first use."""
+        variances: dict[str, list[bool]] = {}
+        for lbl, up in iter_positions(self):
+            variances.setdefault(lbl, []).append(up)
+        dummies, free, top = [], [], 0
+        for lbl, ups in variances.items():
+            if len(ups) == 2:
+                dummies.append(lbl)
+            elif len(ups) == 1:
+                free.append((lbl, ups[0]))
+            if is_dummy_label(lbl):
+                top = max(top, int(lbl[1:]))
+        return IndexSummary(variances, tuple(dummies), frozenset(free), top)
 
 
 @dataclass(frozen=True)
@@ -180,63 +208,34 @@ def map_labels(obj, mapping: dict[str, str]):
     raise TypeError(f"cannot relabel {type(obj).__name__}")
 
 
-def term_label_counts(t: Term) -> dict[str, list[bool]]:
-    counts: dict[str, list[bool]] = {}
-    for lbl, up in iter_positions(t):
-        counts.setdefault(lbl, []).append(up)
-    return counts
-
-
-def _check_arity_within(t: Term) -> None:
-    seen: dict[str, int] = {}
-
-    def walk(f: FactorLike) -> None:
-        if isinstance(f, Factor):
-            prior = seen.setdefault(f.name, f.rank)
-            if prior != f.rank:
-                raise ArityMismatchError(
-                    f"tensor {f.name!r} used with ranks {prior} and {f.rank}"
-                )
-        else:
-            for g in f.factors:
-                walk(g)
-
-    for f in t.factors:
-        walk(f)
-
-
 def validate(t: Term) -> Term:
     """Check the summation-convention invariants of a single term.
 
-    Every label may appear at most twice; a repeated label must occur once
-    in an upper and once in a lower position.  Returns the term unchanged.
+    Every tensor name keeps one rank within the term.  Every label may
+    appear at most twice; a repeated label must occur once in an upper and
+    once in a lower position.  Returns the term unchanged.
     """
-    _check_arity_within(t)
-    for lbl, occurrences in term_label_counts(t).items():
-        if len(occurrences) > 2:
+    ranks: dict[str, int] = {}
+    for f in walk_factors(t):
+        prior = ranks.setdefault(f.name, f.rank)
+        if prior != f.rank:
+            raise ArityMismatchError(
+                f"tensor {f.name!r} used with ranks {prior} and {f.rank}")
+    for lbl, ups in t.indices.variances.items():
+        if len(ups) > 2:
             raise TripleIndexError(
-                f"index {lbl!r} appears {len(occurrences)} times in one term"
-            )
-        if len(occurrences) == 2 and occurrences[0] == occurrences[1]:
-            kind = "contravariant" if occurrences[0] else "covariant"
-            raise VarianceClashError(
-                f"index {lbl!r} repeated in {kind} position"
-            )
+                f"index {lbl!r} appears {len(ups)} times in one term")
+        if len(ups) == 2 and ups[0] == ups[1]:
+            kind = "contravariant" if ups[0] else "covariant"
+            raise VarianceClashError(f"index {lbl!r} repeated in {kind} position")
     return t
-
-
-def term_free_indices(t: Term) -> frozenset[tuple[str, bool]]:
-    counts = term_label_counts(t)
-    return frozenset(
-        (lbl, ups[0]) for lbl, ups in counts.items() if len(ups) == 1
-    )
 
 
 def free_indices(expr: Expression) -> frozenset[tuple[str, bool]]:
     """The free-index set shared by all terms; empty for scalars and zero."""
     result = None
     for t in expr.terms:
-        fs = term_free_indices(t)
+        fs = t.indices.free
         if result is None:
             result = fs
         elif result != fs:
@@ -253,31 +252,19 @@ def validate_expression(expr: Expression) -> Expression:
     return expr
 
 
-def term_dummies(t: Term) -> set[str]:
-    return {lbl for lbl, ups in term_label_counts(t).items() if len(ups) == 2}
-
-
-def max_dummy_number(obj) -> int:
-    best = 0
-    for lbl, _ in iter_positions(obj):
-        if is_dummy_label(lbl):
-            best = max(best, int(lbl[1:]))
-    return best
+def max_dummy_number(obj: Term | Expression) -> int:
+    """The highest generated-dummy number of a term or expression, 0 if none."""
+    terms = (obj,) if isinstance(obj, Term) else obj.terms
+    return max([t.indices.top for t in terms], default=0)
 
 
 def rename_term_dummies(t: Term, start: int = 1) -> Term:
     """Relabel the term's dummy pairs as %start, %start+1, ... in
     first-occurrence order.  Free indices are untouched."""
-    dummies = term_dummies(t)
-    mapping: dict[str, str] = {}
-    n = start
-    for lbl, _ in iter_positions(t):
-        if lbl in dummies and lbl not in mapping:
-            mapping[lbl] = dummy_label(n)
-            n += 1
-    if not mapping:
+    dummies = t.indices.dummies
+    if not dummies:
         return t
-    return map_labels(t, mapping)
+    return map_labels(t, {lbl: dummy_label(n) for n, lbl in enumerate(dummies, start)})
 
 
 def rename_dummies(expr: Expression) -> Expression:
@@ -289,18 +276,12 @@ def rename_dummies(expr: Expression) -> Expression:
     return Expression(tuple(rename_term_dummies(t) for t in expr.terms))
 
 
-def _rename_colliding_dummies(t: Term, avoid: set[str], floor: int) -> Term:
-    """Rename only those dummy pairs of ``t`` whose labels occur in
-    ``avoid``, using fresh generated labels above ``floor``."""
-    colliding = sorted(term_dummies(t) & avoid, key=label_sort_key)
-    if not colliding:
-        return t
-    mapping = {}
-    n = floor + 1
-    for lbl in colliding:
-        mapping[lbl] = dummy_label(n)
-        n += 1
-    return map_labels(t, mapping)
+def _rename_colliding_dummies(t: Term, avoid, floor: int) -> dict[str, str]:
+    """Fresh generated labels above ``floor`` for those dummy pairs of ``t``
+    whose labels occur in ``avoid``, as a label mapping."""
+    colliding = [lbl for lbl in t.indices.dummies if lbl in avoid]
+    colliding.sort(key=label_sort_key)
+    return {lbl: dummy_label(n) for n, lbl in enumerate(colliding, floor + 1)}
 
 
 def extend_sum(terms: list[Term], new_terms) -> None:
@@ -347,17 +328,21 @@ def mul(e1: Expression, e2: Expression) -> Expression:
     floor = max(max_dummy_number(e1), max_dummy_number(e2))
     out: list[Term] = []
     for t1 in e1.terms:
-        labels1 = set(term_label_counts(t1))
         for t2 in e2.terms:
-            b = _rename_colliding_dummies(t2, labels1, floor)
-            a = _rename_colliding_dummies(
-                t1, set(term_label_counts(b)), max(floor, max_dummy_number(b))
-            )
-            coeff = a.coeff * b.coeff
+            coeff = t1.coeff * t2.coeff
             if coeff == 0:
                 continue
-            merged = Term(coeff, a.factors + b.factors)
-            out.append(validate(merged))
+            renamed2 = _rename_colliding_dummies(t2, t1.indices.variances, floor)
+            # t1's dummies may meet the labels of t2 that were not renamed; the
+            # fresh labels lie above all of t1's
+            labels2 = t2.indices.variances
+            renamed1 = _rename_colliding_dummies(
+                t1, labels2.keys() - renamed2 if renamed2 else labels2,
+                floor + len(renamed2),
+            )
+            a = map_labels(t1, renamed1) if renamed1 else t1
+            b = map_labels(t2, renamed2) if renamed2 else t2
+            out.append(validate(Term(coeff, a.factors + b.factors)))
     result = Expression(tuple(out))
     free_indices(result)
     return result

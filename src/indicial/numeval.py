@@ -131,27 +131,18 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
     bound free indices; 0-d values (``dim``, scalars) fold into the coefficient."""
     import numpy as np
 
-    labelled = []
-    counts: dict[str, int] = {}
     for f in t.factors:
         if isinstance(f, InertDeriv):
             raise InertOperatorError("inert covariant derivatives have no numeric value")
-        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
-        labelled.append((f, labels))
-        for lbl in labels:
-            counts[lbl] = counts.get(lbl, 0) + 1
-    dummies: dict[str, int] = {}
-    missing = []
-    for lbl, n in counts.items():
-        if n == 2:
-            dummies[lbl] = len(dummies)
-        elif n == 1 and lbl not in bind:
-            missing.append(lbl)
+    missing = [lbl for lbl, ups in t.indices.variances.items()
+               if len(ups) == 1 and lbl not in bind]
     if missing:
         raise SemanticError(f"free indices {missing} are unbound")
+    dummies = {lbl: n for n, lbl in enumerate(t.indices.dummies)}
     value = float(t.coeff)
     operands = []
-    for f, labels in labelled:
+    for f in t.factors:
+        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
         if f.name == DIM_SYMBOL:
             value *= assignment.dim
             continue

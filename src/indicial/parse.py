@@ -235,9 +235,10 @@ class Statement:
     col: int = 0
 
 
-# Deepest nesting of parentheses, arguments, list items, unary signs and
-# exponents the parser accepts; deeper input raises ParseError long before
-# the interpreter's recursion limit.
+# Deepest nesting of parentheses, arguments, list items, unary signs,
+# exponents and inert derivative indices (each wraps the ones before it) the
+# parser accepts; deeper input raises ParseError long before the
+# interpreter's recursion limit.
 MAX_DEPTH = 100
 
 
@@ -246,6 +247,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.peak = 0  # deepest level an inert block reached in this body
 
     def enter(self, tok: Token) -> None:
         """Open one nesting level at ``tok``; the caller closes it by
@@ -399,12 +401,13 @@ class Parser:
         if tok.kind == "(":
             self.advance()
             self.enter(tok)
+            outer_peak, self.peak = self.peak, self.depth
             node = self.parse_expr()
             self.depth -= 1
             self.expect(")")
             if self.at("_") and self.at("{", 1):
-                indices = self.parse_inert_block()
-                return Wrap(node, tuple(indices))
+                node = Wrap(node, tuple(self.parse_inert_block(self.peak)))
+            self.peak = max(outer_peak, self.peak)
             return node
         if tok.kind == "[":
             return self.parse_list()
@@ -472,13 +475,17 @@ class Parser:
         args = self.parse_arguments(opener, ")")
         return Call(name_tok.value, tuple(args))
 
-    def parse_inert_block(self) -> list[str]:
+    def parse_inert_block(self, base: int) -> list[str]:
+        """The indices of ``_{;...}``, each one nesting level above ``base``."""
         self.expect("_")
         self.expect("{")
         self.expect(";")
         indices = []
+        depth, self.depth = self.depth, base
         while not self.at("}"):
+            self.enter(self.peek())
             indices.append(self.parse_index_label())
+        self.peak, self.depth = max(self.peak, self.depth), depth
         self.expect("}")
         if not indices:
             tok = self.peek()
@@ -496,7 +503,7 @@ class Parser:
                     "index blocks cannot follow an inert block", tok.line, tok.col
                 )
             if self.at("_") and self.at(";", 2):
-                inert.extend(self.parse_inert_block())
+                inert.extend(self.parse_inert_block(self.depth))
                 continue
             marker = self.advance().kind
             self.expect("{")

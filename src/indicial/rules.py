@@ -27,7 +27,6 @@ from .exprs import (
     map_labels,
     mul,
     structural_key,
-    term_free_indices,
     validate,
     validate_expression,
 )
@@ -185,9 +184,8 @@ class _CanonicalSum:
         produced ones, which would make the sum invalid.
         """
         kept = next((k for k in self.keys if k not in removed), None)
-        if produced.terms and kept is not None and term_free_indices(
-            produced.terms[0]
-        ) != term_free_indices(self.terms[kept]):
+        if (produced.terms and kept is not None
+                and produced.terms[0].indices.free != self.terms[kept].indices.free):
             return False
         coeffs = {key: Fraction(0) for key in removed}
         factors = {}

@@ -3,6 +3,8 @@ statement starts, exit statuses, and no raw tracebacks."""
 
 import io
 
+import pytest
+
 from indicial.cli import Evaluator, main, repl, run_script
 from indicial.parse import MAX_DEPTH
 
@@ -57,6 +59,31 @@ def test_too_deep_nesting_is_a_parse_error(tmp_path):
     assert (status, out) == (1, "")
     assert err == ("parse error: expression nested too deeply "
                    f"(line 1, column {MAX_DEPTH + 1})\n")
+
+
+def labels(prefix, n):
+    return " ".join(f"{prefix}{k}" for k in range(n))
+
+
+# the first index past MAX_DEPTH: a parenthesized body's inert derivatives
+# are one level deeper than the parentheses, and the block after it deeper still
+@pytest.mark.parametrize("block, rejected", [
+    ("x_{;" + labels("i", 1200) + "}", f"i{MAX_DEPTH}"),
+    ("(x([a],[]))_{;" + labels("i", 1200) + "}", f"i{MAX_DEPTH - 1}"),
+    ("((x_{;" + labels("i", 60) + "}))_{;" + labels("j", 60) + "}",
+     f"j{MAX_DEPTH - 62}"),
+], ids=["printed", "parenthesized", "stacked"])
+def test_deep_inert_block_is_a_parse_error(tmp_path, capsys, block, rejected):
+    """Each index of an inert block nests one more derivative, which used to
+    end in an internal RecursionError (exit 3)."""
+    path = tmp_path / "s.ind"
+    path.write_text("w$\n" + block + ";")
+    assert main(["--script", str(path)]) == 1
+    captured = capsys.readouterr()
+    column = block.index(f" {rejected} ") + 2
+    assert captured.err == ("parse error: expression nested too deeply "
+                            f"(line 2, column {column})\n")
+    assert captured.out == ""
 
 
 def test_repl_reports_every_error_and_keeps_going(monkeypatch, capsys):

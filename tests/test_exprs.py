@@ -25,7 +25,6 @@ from indicial.errors import (
     TripleIndexError,
     VarianceClashError,
 )
-from indicial.exprs import term_dummies
 from indicial.numeval import numeric_eval, random_assignment, random_expression
 
 from conftest import ev, make_rng
@@ -119,7 +118,7 @@ def test_mul_freshens_colliding_dummies():
     e1 = ex(term(1, fac("x", cov=("a",)), fac("y", contra=("a",))))
     product = mul(e1, e1)
     t = product.terms[0]
-    assert len(term_dummies(t)) == 2
+    assert len(t.indices.dummies) == 2
     validate(t)
 
 
@@ -134,7 +133,7 @@ def test_power_expands_to_repeated_factors(session):
     e = ev("(x([a],[])*y([],[a]))^2", session)
     assert len(e.terms) == 1
     assert len(e.terms[0].factors) == 4
-    assert len(term_dummies(e.terms[0])) == 2
+    assert len(e.terms[0].indices.dummies) == 2
 
 
 def test_zero_is_empty_expression():

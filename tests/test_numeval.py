@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from indicial.errors import InertOperatorError, SemanticError, UnboundNameError
-from indicial.exprs import DIM_SYMBOL, KDELTA, term_label_counts
+from indicial.exprs import DIM_SYMBOL, KDELTA, iter_positions
 from indicial.numeval import (
     ComponentAssignment,
     assignment_from_fixture,
@@ -165,8 +165,10 @@ def reference_eval(expr, assignment, bind=None):
     """Sum every term over all dim**k values of its k dummies, one at a time."""
     total = 0.0
     for t in expr.terms:
-        counts = term_label_counts(t)
-        dummies = sorted(lbl for lbl, ups in counts.items() if len(ups) == 2)
+        counts = {}
+        for lbl, _ in iter_positions(t):
+            counts[lbl] = counts.get(lbl, 0) + 1
+        dummies = sorted(lbl for lbl, n in counts.items() if n == 2)
         for combo in product(range(assignment.dim), repeat=len(dummies)):
             valuation = dict(bind or {})
             valuation.update(zip(dummies, combo))

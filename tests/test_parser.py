@@ -4,7 +4,6 @@ import pytest
 
 from indicial import Session, render_plain
 from indicial.errors import ParseError, UnknownCommandError
-from indicial.exprs import term_dummies
 from indicial.numeval import random_expression
 from indicial.parse import (
     MAX_DEPTH,
