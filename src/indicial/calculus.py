@@ -21,12 +21,14 @@ from .exprs import (
     Factor,
     InertDeriv,
     KDELTA,
+    MAX_DEPTH,
     Term,
     ZERO,
     add,
     dummy_label,
     ex,
     free_indices,
+    inert_depth,
     is_dummy_label,
     label_sort_key,
     map_labels,
@@ -170,11 +172,15 @@ def covdiff(session: Session, expr: Expression, index: str,
             mode: str = "inert") -> Expression:
     """Covariant derivative.
 
-    Inert mode wraps each term's monomial without resolving the connection;
-    expanded mode produces the ordinary derivative plus one connection
-    correction per index position, with a fresh dummy for each correction.
+    Inert mode wraps each term's monomial without resolving the connection,
+    at most ``MAX_DEPTH`` wrappers deep; expanded mode produces the ordinary
+    derivative plus one connection correction per index position, with a
+    fresh dummy for each correction.
     """
     if mode == "inert":
+        if any(inert_depth(t.factors) >= MAX_DEPTH for t in expr.terms):
+            raise SemanticError(f"inert derivatives nested too deeply "
+                                f"(over {MAX_DEPTH} levels)")
         expr = _avoid_dummy(expr, index)
         out = [
             Term(t.coeff, (InertDeriv(t.factors, index),))

@@ -33,7 +33,6 @@ from .parse import (
     Call,
     FactorNode,
     HistRef,
-    Inert,
     ListNode,
     Num,
     Product,
@@ -298,12 +297,13 @@ class Evaluator:
             raise shape_error
         var = params.items[0].name
         if not (
-            isinstance(body, Inert)
+            isinstance(body, Wrap)
+            and len(body.indices) == 1
             and isinstance(body.body, VarRef)
             and body.body.name == var
         ):
             raise shape_error
-        return calculus.mapcovdiff(self.session, self._expr_arg(expr), body.index)
+        return calculus.mapcovdiff(self.session, self._expr_arg(expr), body.indices[0])
 
     def _builtin_mapcovdiff(self, expr, index):
         return calculus.mapcovdiff(
@@ -383,9 +383,6 @@ class Evaluator:
             return self._eval_product(node)
         if isinstance(node, Bin):
             return self._eval_bin(node)
-        if isinstance(node, Inert):
-            body = self._expr_arg(node.body)
-            return calculus.covdiff(session, body, node.index, mode="inert")
         if isinstance(node, Wrap):
             body = self._expr_arg(node.body)
             for idx in node.indices:

@@ -38,6 +38,13 @@ KDELTA = "kdelta"
 DIM_SYMBOL = "dim"
 CHRISTOFFEL = "ichr2"
 
+# Deepest nesting of parentheses, arguments, list items, unary signs,
+# exponents and inert derivative indices (each wraps the ones before it) the
+# parser accepts, and the deepest inert derivatives may nest in a term however
+# many statements build them; deeper input is refused long before the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 def is_dummy_label(label: str) -> bool:
     return label.startswith(DUMMY_PREFIX)
@@ -89,6 +96,12 @@ class InertDeriv:
 
 
 FactorLike = Union[Factor, InertDeriv]
+
+
+def inert_depth(factors) -> int:
+    """How many inert derivatives nest around the deepest of ``factors``."""
+    return max((1 + inert_depth(f.factors) for f in factors
+                if isinstance(f, InertDeriv)), default=0)
 
 
 class IndexSummary(NamedTuple):

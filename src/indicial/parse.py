@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownCommandError
+from .exprs import MAX_DEPTH
 
 # Every builtin of the script language: its kind and its fewest and most
 # arguments (None: no limit).  A command runs only as a statement of its own;
@@ -182,13 +183,10 @@ class Call:
 
 
 @dataclass(frozen=True, slots=True)
-class Inert:
-    body: object
-    index: str
-
-
-@dataclass(frozen=True, slots=True)
 class Wrap:
+    """Inert covariant derivatives of ``body``, one per index in order:
+    ``'covdiff(body, i)`` or ``(body)_{;i ...}``."""
+
     body: object
     indices: tuple[str, ...]
 
@@ -233,13 +231,6 @@ class Statement:
     assign_name: str | None = None
     line: int = 0
     col: int = 0
-
-
-# Deepest nesting of parentheses, arguments, list items, unary signs,
-# exponents and inert derivative indices (each wraps the ones before it) the
-# parser accepts; deeper input raises ParseError long before the
-# interpreter's recursion limit.
-MAX_DEPTH = 100
 
 
 class Parser:
@@ -381,7 +372,7 @@ class Parser:
             self.expect(",")
             index = self.parse_index_label()
             self.expect(")")
-            return Inert(body, index)
+            return Wrap(body, (index,))
         if tok.kind == "NAME":
             self.advance()
             if self.at("("):

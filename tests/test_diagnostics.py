@@ -86,6 +86,25 @@ def test_deep_inert_block_is_a_parse_error(tmp_path, capsys, block, rejected):
     assert captured.out == ""
 
 
+
+@pytest.mark.parametrize("third", [
+    "(a1)_{;k}", "'covdiff(a1, k)", "map(lambda([v], 'covdiff(v, k)), a1)",
+], ids=["block", "quoted", "map"])
+def test_inert_nesting_across_statements_is_refused(tmp_path, capsys, third):
+    """Each statement stays within the parser's limit, but the nesting they
+    build together used to end in an internal RecursionError (exit 3) past
+    about 300 levels."""
+    path = tmp_path / "s.ind"
+    path.write_text("a0: x_{;" + labels("i", MAX_DEPTH - 10) + "}$\n"
+                    "a1: (a0)_{;" + labels("j", 10) + "}$\n"
+                    f"  a2: {third}$\n")
+    assert main(["--script", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "line 3, column 3: statement 3: SemanticError: inert derivatives "
+        f"nested too deeply (over {MAX_DEPTH} levels)\n")
+    assert captured.out == ""
+
 def test_repl_reports_every_error_and_keeps_going(monkeypatch, capsys):
     monkeypatch.setattr(Evaluator, "_builtin_canform", boom)
     lines = iter(["canform(w);", "x([a],[])*y([a],[]);", "w;", "quit;"])

@@ -10,7 +10,7 @@ from indicial.parse import (
     Call,
     FactorNode,
     HistRef,
-    Inert,
+    Wrap,
     parse_expression,
     parse_program,
 )
@@ -52,8 +52,8 @@ def test_lagrangian_line_parses_and_evaluates():
 
 def test_inert_covdiff_parse():
     node = parse_expression("'covdiff(F([],[m,n]),n)")
-    assert isinstance(node, Inert)
-    assert node.index == "n"
+    assert isinstance(node, Wrap)
+    assert node.indices == ("n",)
 
 
 def test_quote_rejected_elsewhere():
