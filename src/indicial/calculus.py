@@ -25,16 +25,13 @@ from .exprs import (
     Term,
     ZERO,
     add,
-    dummy_label,
-    ex,
     free_indices,
+    fresh_dummy,
+    freshen,
     inert_depth,
-    is_dummy_label,
     label_sort_key,
     map_labels,
-    max_dummy_number,
     mul,
-    rename_term_dummies,
     scale,
     validate,
     validate_expression,
@@ -77,9 +74,11 @@ def expand_components(session: Session, expr: Expression) -> Expression:
     """Substitute active component definitions into every matching factor.
 
     A factor matches when its name and slot variance pattern agree with the
-    stored signature; its indices replace the signature's, definition dummies
-    are freshened per occurrence, and any derivative slots on the occurrence
-    are applied to the substituted definition afterwards.
+    stored signature; its indices replace the signature's.  A dummy pair of
+    the definition that clashes with one of those indices is freshened
+    first; the product with the rest of the term freshens the pairs that
+    clash there.  Any derivative slots on the occurrence are applied to the
+    substituted definition afterwards.
     """
     if not session.components:
         return expr
@@ -92,17 +91,10 @@ def expand_components(session: Session, expr: Expression) -> Expression:
             return None
         if f.variance_pattern() != cdef.signature.variance_pattern():
             return None
-        floor = max(max_dummy_number(t), max_dummy_number(cdef.definition))
-        fresh = Expression(
-            tuple(
-                rename_term_dummies(d, floor + 1)
-                for d in cdef.definition.terms
-            )
-        )
-        mapping = {
-            sig_lbl: occ_lbl
-            for (sig_lbl, _), (occ_lbl, _) in zip(cdef.signature.slots, f.slots)
-        }
+        labels = [lbl for lbl, _ in f.slots]
+        fresh = Expression(tuple(freshen(d, labels) for d in cdef.definition.terms))
+        mapping = {sig_lbl: occ_lbl for (sig_lbl, _), occ_lbl
+                   in zip(cdef.signature.slots, labels)}
         result = map_labels(fresh, mapping)
         for d in f.derivs:
             result = idiff(result, d)
@@ -111,12 +103,29 @@ def expand_components(session: Session, expr: Expression) -> Expression:
     return _substitute(expr, instance)
 
 
-def _avoid_dummy(expr: Expression, label: str) -> Expression:
-    """Rename dummies in terms where ``label`` is already a dummy pair."""
-    if not any(label in t.indices.dummies for t in expr.terms):
-        return expr
-    start = int(label[1:]) + 1 if is_dummy_label(label) else 1
-    return Expression(tuple(rename_term_dummies(t, start) for t in expr.terms))
+def _product_rule(expr: Expression, labels, rule) -> Expression:
+    """Differentiate ``expr`` by the derivation ``rule``, one factor at a time.
+
+    ``rule(t, f)`` lists, for the factor ``f`` of the term ``t``, the terms
+    it contributes as ``(sign, replacement, appended)``: ``t`` with ``f``
+    replaced by the factors ``replacement``, the factors ``appended`` after
+    its last factor, and its coefficient times ``sign`` (1 or -1).  Terms come
+    out in term, factor and rule order.  ``labels`` are the labels the rule
+    brings in; each term's dummy pairs that clash with them are freshened
+    first.
+    """
+    out: list[Term] = []
+    for t in expr.terms:
+        t = freshen(t, labels)
+        factors = t.factors
+        for pos, f in enumerate(factors):
+            for sign, replacement, appended in rule(t, f):
+                coeff = t.coeff if sign == 1 else -t.coeff
+                new = factors[:pos] + replacement + factors[pos + 1:] + appended
+                out.append(validate(Term(coeff, new)))
+    result = Expression(tuple(out))
+    free_indices(result)
+    return result
 
 
 def idiff(expr: Expression, index: str) -> Expression:
@@ -126,23 +135,17 @@ def idiff(expr: Expression, index: str) -> Expression:
     derivative slots; rational coefficients and constant tensors (the
     Kronecker delta, the dimension symbol) differentiate to zero.
     """
-    expr = _avoid_dummy(expr, index)
-    out: list[Term] = []
-    for t in expr.terms:
-        for pos, f in enumerate(t.factors):
-            if isinstance(f, InertDeriv):
-                raise InertOperatorError(
-                    "cannot apply an ordinary derivative to an inert "
-                    "covariant derivative"
-                )
-            if f.name in CONSTANT_NAMES:
-                continue
-            bumped = Factor(f.name, f.slots, f.derivs + (index,))
-            factors = t.factors[:pos] + (bumped,) + t.factors[pos + 1:]
-            out.append(validate(Term(t.coeff, factors)))
-    result = Expression(tuple(out))
-    validate_expression(result)
-    return result
+    def rule(t: Term, f) -> tuple:
+        if isinstance(f, InertDeriv):
+            raise InertOperatorError(
+                "cannot apply an ordinary derivative to an inert "
+                "covariant derivative"
+            )
+        if f.name in CONSTANT_NAMES:
+            return ()
+        return ((1, (Factor(f.name, f.slots, f.derivs + (index,)),), ()),)
+
+    return _product_rule(expr, (index,), rule)
 
 
 def christoffel(session: Session, i: str, j: str, k: str) -> Expression:
@@ -151,8 +154,7 @@ def christoffel(session: Session, i: str, j: str, k: str) -> Expression:
     if session.metric is None:
         raise NoMetricError("christoffel symbols need a configured metric")
     g = session.metric
-    floor = max([int(l[1:]) for l in (i, j, k) if is_dummy_label(l)] + [0])
-    s = dummy_label(floor + 1)
+    s = fresh_dummy(i, j, k)
     up = Factor(g, ((k, True), (s, True)))
     half = Fraction(1, 2)
     terms = (
@@ -181,9 +183,8 @@ def covdiff(session: Session, expr: Expression, index: str,
         if any(inert_depth(t.factors) >= MAX_DEPTH for t in expr.terms):
             raise SemanticError(f"inert derivatives nested too deeply "
                                 f"(over {MAX_DEPTH} levels)")
-        expr = _avoid_dummy(expr, index)
         out = [
-            Term(t.coeff, (InertDeriv(t.factors, index),))
+            Term(t.coeff, (InertDeriv(freshen(t, (index,)).factors, index),))
             for t in expr.terms
             if t.factors
         ]
@@ -195,36 +196,28 @@ def covdiff(session: Session, expr: Expression, index: str,
     if session.metric is None:
         raise NoMetricError("expanded covariant derivatives need a metric")
 
-    expr = _avoid_dummy(expr, index)
-    floor = int(index[1:]) if is_dummy_label(index) else 0
-    pieces = [idiff(expr, index)]
-    for t in expr.terms:
-        d = dummy_label(max(t.indices.top, floor) + 1)  # each correction's dummy
-        for pos, f in enumerate(t.factors):
-            if isinstance(f, InertDeriv):
-                raise InertOperatorError(
-                    "cannot expand a covariant derivative through an inert one"
-                )
-            if f.name in CONSTANT_NAMES:
-                continue
-            for sp, (lbl, up) in enumerate(f.slots):
-                slots = f.slots[:sp] + ((d, up),) + f.slots[sp + 1:]
-                shifted = Factor(f.name, slots, f.derivs)
-                if up:
-                    gamma = _gamma_factor(index, d, lbl)
-                    sign = 1
-                else:
-                    gamma = _gamma_factor(index, lbl, d)
-                    sign = -1
-                factors = t.factors[:pos] + (shifted,) + t.factors[pos + 1:]
-                pieces.append(ex(Term(t.coeff * sign, factors + (gamma,))))
-            for dp, dlbl in enumerate(f.derivs):
-                derivs = f.derivs[:dp] + (d,) + f.derivs[dp + 1:]
-                shifted = Factor(f.name, f.slots, derivs)
-                gamma = _gamma_factor(index, dlbl, d)
-                factors = t.factors[:pos] + (shifted,) + t.factors[pos + 1:]
-                pieces.append(ex(Term(-t.coeff, factors + (gamma,))))
-    return add(*pieces)
+    ordinary = idiff(expr, index)  # refuses inert factors
+
+    def corrections(t: Term, f) -> list:
+        if f.name in CONSTANT_NAMES:
+            return []
+        d = fresh_dummy(index, floor=t.indices.top)  # the correction's dummy
+        out = []
+        for sp, (lbl, up) in enumerate(f.slots):
+            slots = f.slots[:sp] + ((d, up),) + f.slots[sp + 1:]
+            low, high = (d, lbl) if up else (lbl, d)
+            out.append((1 if up else -1, (Factor(f.name, slots, f.derivs),),
+                        (_gamma_factor(index, low, high),)))
+        for dp, dlbl in enumerate(f.derivs):
+            derivs = f.derivs[:dp] + (d,) + f.derivs[dp + 1:]
+            out.append((-1, (Factor(f.name, f.slots, derivs),),
+                        (_gamma_factor(index, dlbl, d),)))
+        return out
+
+    corrected = _product_rule(expr, (index,), corrections)
+    result = Expression(ordinary.terms + corrected.terms)
+    free_indices(result)
+    return result
 
 
 def mapcovdiff(session: Session, expr: Expression, index: str) -> Expression:
@@ -257,7 +250,7 @@ def extdiff(session: Session, expr: Expression, index: str) -> Expression:
     """
     session.extdiff_used = True
     e = expand_components(session, expr)
-    e = _avoid_dummy(e, index)
+    e = Expression(tuple(freshen(t, (index,)) for t in e.terms))
     if e.is_zero():
         return ZERO
     frees = free_indices(e)
@@ -306,7 +299,7 @@ def fdiff(session: Session, expr: Expression, target: Factor) -> Expression:
     match is replaced by Kronecker deltas pairing each occurrence index with
     the corresponding raised or lowered target index.  Derivative indices
     pair in sorted order since partials commute.  Everything else is a
-    constant.
+    constant.  A dummy pair that clashes with a target index is renamed first.
     """
     t_labels = [lbl for lbl, _ in target.slots] + list(target.derivs)
     if len(set(t_labels)) != len(t_labels):
@@ -317,33 +310,22 @@ def fdiff(session: Session, expr: Expression, target: Factor) -> Expression:
         raise PatternIndexCollisionError(
             f"target indices {sorted(clash)} occur free in the expression"
         )
-    if any(lbl in t.indices.dummies for lbl in t_labels for t in expr.terms):
-        expr = Expression(tuple(rename_term_dummies(t) for t in expr.terms))
+    pattern = target.variance_pattern()
+    target_derivs = sorted(target.derivs, key=label_sort_key)
 
-    out: list[Term] = []
-    for t in expr.terms:
-        for pos, f in enumerate(t.factors):
-            if not isinstance(f, Factor):
-                continue
-            if f.name != target.name:
-                continue
-            if f.variance_pattern() != target.variance_pattern():
-                continue
-            if len(f.derivs) != len(target.derivs):
-                continue
-            deltas = []
-            for (t_lbl, up), (o_lbl, _) in zip(target.slots, f.slots):
-                if up:
-                    deltas.append(Factor(KDELTA, ((t_lbl, False), (o_lbl, True))))
-                else:
-                    deltas.append(Factor(KDELTA, ((o_lbl, False), (t_lbl, True))))
-            for t_d, o_d in zip(
-                sorted(target.derivs, key=label_sort_key),
-                sorted(f.derivs, key=label_sort_key),
-            ):
-                deltas.append(Factor(KDELTA, ((o_d, False), (t_d, True))))
-            factors = t.factors[:pos] + t.factors[pos + 1:] + tuple(deltas)
-            out.append(validate(Term(t.coeff, factors)))
-    result = Expression(tuple(out))
-    validate_expression(result)
-    return result
+    def rule(t: Term, f) -> tuple:
+        if not isinstance(f, Factor) or f.name != target.name:
+            return ()
+        if f.variance_pattern() != pattern or len(f.derivs) != len(target_derivs):
+            return ()
+        deltas = []
+        for (t_lbl, up), (o_lbl, _) in zip(target.slots, f.slots):
+            if up:
+                deltas.append(Factor(KDELTA, ((t_lbl, False), (o_lbl, True))))
+            else:
+                deltas.append(Factor(KDELTA, ((o_lbl, False), (t_lbl, True))))
+        for t_d, o_d in zip(target_derivs, sorted(f.derivs, key=label_sort_key)):
+            deltas.append(Factor(KDELTA, ((o_d, False), (t_d, True))))
+        return ((1, (), tuple(deltas)),)
+
+    return _product_rule(expr, t_labels, rule)

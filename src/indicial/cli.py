@@ -24,14 +24,13 @@ from .exprs import (
     sub,
     validate,
 )
-from .lagrangian import FieldEquation, euler_lagrange
+from .lagrangian import euler_lagrange
 from .parse import (
     BUILTINS,
     COMMAND,
     SYNTAX,
     Bin,
     Call,
-    FactorNode,
     HistRef,
     ListNode,
     Num,
@@ -92,8 +91,6 @@ class Evaluator:
     def render_value(self, value) -> str:
         if isinstance(value, Expression):
             return render(value, self.fmt)
-        if isinstance(value, FieldEquation):
-            return render(value.lhs, self.fmt)
         if isinstance(value, bool):
             return "true" if value else "false"
         return str(value)
@@ -171,7 +168,6 @@ class Evaluator:
             for item in node.items:
                 if not isinstance(item, Call) or item.fn not in ("sym", "anti"):
                     raise SemanticError("blocks are sym(...) or anti(...)")
-                _check_arity(item)
                 if (
                     len(item.args) == 1
                     and isinstance(item.args[0], VarRef)
@@ -194,15 +190,11 @@ class Evaluator:
         return DONE
 
     def _builtin_components(self, signature, definition):
-        if not isinstance(signature, FactorNode):
+        if not isinstance(signature, Factor):
             raise SemanticError(
                 "components takes a tensor signature and a definition"
             )
-        rules.components(
-            self.session,
-            Factor(signature.name, signature.slots, signature.derivs),
-            self.eval_expr(definition),
-        )
+        rules.components(self.session, signature, self.eval_expr(definition))
         return DONE
 
     def _builtin_remcomps(self, name):
@@ -251,11 +243,9 @@ class Evaluator:
 
     def _builtin_diff(self, expr, target):
         expr = self._expr_arg(expr)
-        if isinstance(target, FactorNode):
-            target = Factor(target.name, target.slots, target.derivs)
-        elif isinstance(target, VarRef):
+        if isinstance(target, VarRef):
             target = Factor(target.name)
-        else:
+        elif not isinstance(target, Factor):
             raise SemanticError("diff differentiates by an indexed object")
         return calculus.fdiff(self.session, expr, target)
 
@@ -311,13 +301,12 @@ class Evaluator:
         )
 
     def _builtin_euler_lagrange(self, lagrangian, field, index, rule_list=None):
-        if not isinstance(field, FactorNode):
+        if not isinstance(field, Factor):
             raise SemanticError(
                 "euler_lagrange takes a Lagrangian, a field pattern, a "
                 "derivative index, and optionally a rule list"
             )
         lagrangian = self._expr_arg(lagrangian)
-        field = Factor(field.name, field.slots, field.derivs)
         deriv_index = self._index_arg(index)
         rule_names: list[str] = []
         if rule_list is not None:
@@ -350,10 +339,9 @@ class Evaluator:
         session = self.session
         if isinstance(node, Num):
             return scalar(node.value)
-        if isinstance(node, FactorNode):
-            factor = Factor(node.name, node.slots, node.derivs)
-            session.register_arity(factor.name, factor.rank)
-            expr = Expression((validate(Term(Fraction(1), (factor,))),))
+        if isinstance(node, Factor):
+            session.register_arity(node.name, node.rank)
+            expr = Expression((validate(Term(Fraction(1), (node,))),))
             return calculus.expand_components(session, expr)
         if isinstance(node, VarRef):
             bound = session.bindings.get(node.name)
@@ -551,6 +539,8 @@ def main(argv=None) -> int:
         help="emit the Euler-Lagrange derivation trace",
     )
     args = parser.parse_args(argv)
+    if args.dim is not None and args.dim < 1:
+        parser.error("argument --dim: the dimension must be a positive integer")
 
     session = Session()
     if args.dim is not None:

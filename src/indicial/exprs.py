@@ -1,7 +1,8 @@
 """Expression data model: indexed factors, terms, and flat sums.
 
-Indices are plain string labels.  Labels starting with ``%`` belong to the
-generated-dummy namespace and never collide with user labels.  A factor
+Indices are plain string labels.  ``%1``, ``%2``, ... are generated labels:
+the engine names the dummy pairs it creates or renames with them, above
+every generated label in reach.  Scripts may write them too.  A factor
 carries an ordered tuple of (label, up) slot pairs, where ``up`` is True for
 a contravariant position, plus a tuple of ordinary derivative indices, which
 always count as covariant positions.  Inert covariant derivatives are
@@ -52,6 +53,17 @@ def is_dummy_label(label: str) -> bool:
 
 def dummy_label(n: int) -> str:
     return f"{DUMMY_PREFIX}{n}"
+
+
+def dummy_number(label: str) -> int:
+    """The number of a generated label, 0 for a user label."""
+    return int(label[1:]) if is_dummy_label(label) else 0
+
+
+def fresh_dummy(*labels: str, floor: int = 0) -> str:
+    """The generated label just above ``floor`` and every generated label
+    among ``labels``."""
+    return dummy_label(max([floor, *map(dummy_number, labels)]) + 1)
 
 
 def label_sort_key(label: str):
@@ -265,12 +277,6 @@ def validate_expression(expr: Expression) -> Expression:
     return expr
 
 
-def max_dummy_number(obj: Term | Expression) -> int:
-    """The highest generated-dummy number of a term or expression, 0 if none."""
-    terms = (obj,) if isinstance(obj, Term) else obj.terms
-    return max([t.indices.top for t in terms], default=0)
-
-
 def rename_term_dummies(t: Term, start: int = 1) -> Term:
     """Relabel the term's dummy pairs as %start, %start+1, ... in
     first-occurrence order.  Free indices are untouched."""
@@ -291,10 +297,23 @@ def rename_dummies(expr: Expression) -> Expression:
 
 def _rename_colliding_dummies(t: Term, avoid, floor: int) -> dict[str, str]:
     """Fresh generated labels above ``floor`` for those dummy pairs of ``t``
-    whose labels occur in ``avoid``, as a label mapping."""
+    whose labels occur in ``avoid``, in label order, as a label mapping.
+    ``floor`` must be at least every generated label of ``t`` and of
+    ``avoid``."""
     colliding = [lbl for lbl in t.indices.dummies if lbl in avoid]
     colliding.sort(key=label_sort_key)
     return {lbl: dummy_label(n) for n, lbl in enumerate(colliding, floor + 1)}
+
+
+def freshen(t: Term, labels) -> Term:
+    """``t`` ready to take in ``labels`` (a derivative index, say): its dummy
+    pairs that clash with them renamed to generated labels above every
+    generated label of ``t`` and of ``labels``; ``t`` itself when none
+    clash."""
+    if not any(lbl in labels for lbl in t.indices.dummies):
+        return t
+    floor = max(t.indices.top, *map(dummy_number, labels))
+    return map_labels(t, _rename_colliding_dummies(t, labels, floor))
 
 
 def extend_sum(terms: list[Term], new_terms) -> None:
@@ -338,7 +357,7 @@ def mul(e1: Expression, e2: Expression) -> Expression:
     only be deliberate free-index contractions and products of already
     collision-free terms keep their labels.
     """
-    floor = max(max_dummy_number(e1), max_dummy_number(e2))
+    floor = max([t.indices.top for e in (e1, e2) for t in e.terms], default=0)
     out: list[Term] = []
     for t1 in e1.terms:
         for t2 in e2.terms:

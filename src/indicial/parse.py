@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownCommandError
-from .exprs import MAX_DEPTH
+from .exprs import MAX_DEPTH, Factor
 
 # Every builtin of the script language: its kind and its fewest and most
 # arguments (None: no limit).  A command runs only as a statement of its own;
@@ -58,6 +58,7 @@ BUILTINS = {
 }
 
 PUNCT = set("()[]{},;$:+-*/^='_")
+DIGITS = set("0123456789")  # str.isdigit() also accepts digits such as '²'
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +109,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("NUMBER", text[i:j], line, col))
             col += j - i
@@ -125,7 +126,7 @@ def tokenize(text: str) -> list[Token]:
                 col += 3
                 continue
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             if j > i + 1:
                 tokens.append(Token("DUMMY", text[i:j], line, col))
@@ -152,13 +153,6 @@ def tokenize(text: str) -> list[Token]:
 @dataclass(frozen=True, slots=True)
 class Num:
     value: Fraction
-
-
-@dataclass(frozen=True, slots=True)
-class FactorNode:
-    name: str
-    slots: tuple[tuple[str, bool], ...]
-    derivs: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,7 +452,7 @@ class Parser:
             slots = tuple((lbl, False) for lbl in cov) + tuple(
                 (lbl, True) for lbl in contra
             )
-            return FactorNode(name_tok.value, slots, tuple(derivs))
+            return Factor(name_tok.value, slots, tuple(derivs))
         if name_tok.value not in BUILTINS:
             raise UnknownCommandError(
                 f"unknown command {name_tok.value!r}", name_tok.line, name_tok.col
@@ -515,7 +509,7 @@ class Parser:
             else:
                 slots.extend((lbl, True) for lbl in labels)
             self.expect("}")
-        node = FactorNode(name, tuple(slots), tuple(derivs))
+        node = Factor(name, tuple(slots), tuple(derivs))
         if inert:
             return Wrap(node, tuple(inert))
         return node

@@ -70,6 +70,24 @@ def test_idiff_renames_colliding_dummies(session):
         assert labels.count("a") == 0 or "a" not in labels
 
 
+CLASHING = "T([%1],[])*U([n],[])*V([],[n])"
+
+
+@pytest.mark.parametrize("template", [
+    "idiff({},n)", "covdiff({},n)", "extdiff({},n)", "mapcovdiff({},n)",
+    "map(lambda([x],'covdiff(x,n)),{})", "'covdiff({},n)", "({})_{{;n}}",
+    "diff({},U([n],[]))",
+])
+def test_derivative_renames_a_clashing_dummy_above_generated_labels(
+        session, template):
+    """The dummy n clashes with the new index n; renaming it to %1 used to
+    meet the free %1 and raise TripleIndexError."""
+    out = ev(template.format(CLASHING), session)
+    spelled_q = ev(template.format(CLASHING.replace("n", "q")), session)
+    assert not out.is_zero()
+    assert canform(session, out) == canform(session, spelled_q)
+
+
 def test_idiff_refuses_inert(session):
     e = ev("'covdiff(j([],[m]),m)", session)
     with pytest.raises(InertOperatorError):
@@ -162,6 +180,17 @@ def test_covdiff_covector_expansion_sign(session):
             ),
             -1,
         ),
+    )
+    assert canform(session, out) == canform(session, expected)
+
+
+def test_covdiff_expansion_corrects_derivative_indices(session):
+    # a derivative index is a covariant position and takes its own correction
+    out = ev("covdiff(A([m],[],n),k)", session)
+    expected = ev(
+        "A([m],[],n,k) - A([q],[],n)*ichr2([k,m],[q])"
+        " - A([m],[],q)*ichr2([k,n],[q])",
+        session,
     )
     assert canform(session, out) == canform(session, expected)
 

@@ -61,6 +61,35 @@ def test_too_deep_nesting_is_a_parse_error(tmp_path):
                    f"(line 1, column {MAX_DEPTH + 1})\n")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("x:\u00b2;", 3), ("%th(\u00b2);", 5), ("T([%\u00b2],[]);", 5),
+], ids=["number", "history", "generated-label"])
+def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text, column):
+    """str.isdigit() accepts '\u00b2', which used to reach int() and end in a
+    ValueError traceback, or in an internal error (exit 3)."""
+    path = tmp_path / "s.ind"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--script", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("parse error: unexpected character '\u00b2' "
+                            f"(line 1, column {column})\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_non_positive_dim_flag_is_a_usage_error(tmp_path, capsys, dim):
+    path = tmp_path / "s.ind"
+    path.write_text("w;")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--script", str(path), "--dim", dim])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: indicial")
+    assert captured.err.endswith(
+        "error: argument --dim: the dimension must be a positive integer\n")
+
+
 def labels(prefix, n):
     return " ".join(f"{prefix}{k}" for k in range(n))
 

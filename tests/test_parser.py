@@ -4,11 +4,11 @@ import pytest
 
 from indicial import Session, render_plain
 from indicial.errors import ParseError, UnknownCommandError
+from indicial.exprs import Factor
 from indicial.numeval import random_expression
 from indicial.parse import (
     MAX_DEPTH,
     Call,
-    FactorNode,
     HistRef,
     Wrap,
     parse_expression,
@@ -20,7 +20,7 @@ from conftest import ev, make_rng
 
 def test_factor_literal_full_shape():
     node = parse_expression("T([a,b],[c,i],i2,i1)")
-    assert node == FactorNode(
+    assert node == Factor(
         "T",
         (("a", False), ("b", False), ("c", True), ("i", True)),
         ("i2", "i1"),
@@ -29,12 +29,12 @@ def test_factor_literal_full_shape():
 
 def test_factor_literal_single_list():
     node = parse_expression("F([k,l])")
-    assert node == FactorNode("F", (("k", False), ("l", False)), ())
+    assert node == Factor("F", (("k", False), ("l", False)), ())
 
 
 def test_factor_literal_empty_lists():
     node = parse_expression("g([],[k,a])")
-    assert node == FactorNode("g", (("k", True), ("a", True)), ())
+    assert node == Factor("g", (("k", True), ("a", True)), ())
 
 
 def test_lagrangian_line_parses_and_evaluates():
