@@ -4,10 +4,16 @@ Statements end with ``;`` (echoed) or ``$`` (silent).  Indexed objects are
 written functionally, ``T([a,b],[c,i],i2,i1)``, or in the printed form the
 renderer emits, ``T_{a b,i2 i1}^{c i}``; both parse to the same node.  An
 equation ``a = b`` stands for the difference of its sides.
+
+The tokenizer is one regular expression with a named group per token kind,
+matched at successive offsets; the parser reads its lookahead by index into
+the token list.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,12 +63,33 @@ BUILTINS = {
     "anti": Builtin(SYNTAX, 0, None),
 }
 
-PUNCT = set("()[]{},;$:+-*/^='_")
-DIGITS = set("0123456789")  # str.isdigit() also accepts digits such as '²'
+# One alternative per token kind, tried in order at each offset (the most
+# frequent kinds first).  Names start with a letter; an underscore joins a
+# name only before a letter or digit, so T_{a} still splits into a name and a
+# block.  [^\W\d_] also takes digits such as '²' (in \w but not decimal),
+# which tokenize refuses as a name start.  Numbers and generated labels take
+# ASCII digits only.  ERROR takes any character left, so the matches cover
+# the text without gaps.
+_TOKEN = re.compile(
+    r"""(?P<PUNCT>[()\[\]{},;$:+\-*^='_]|/(?!\*))
+    |(?P<NAME>[^\W\d_][^\W_]*(?:_[^\W_]+)*)
+    |(?P<NUMBER>[0-9]+)
+    |(?P<SKIP>[ \t\r]+)
+    |(?P<NEWLINE>\n)
+    |(?P<COMMENT>/\*.*?\*/)
+    |(?P<PCTTH>%th(?![^\W_]))
+    |(?P<DUMMY>%[0-9]+)
+    |(?P<PCT>%)
+    |(?P<UNTERMINATED>/\*)
+    |(?P<ERROR>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+# int() refuses a longer digit run; 0 is no limit (as before Python 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -70,80 +97,42 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one ``EOF``.  ``col`` counts
+    characters from 1 at the start of each line."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    # tuple.__new__ builds a Token without the Python-level Token.__new__
+    append, new = tokens.append, tuple.__new__
+    line, line_start = 1, 0
+    max_digits = _max_str_digits()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "NAME":
+            if not value[0].isalpha():
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        elif kind == "NEWLINE" or kind == "COMMENT":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = m.start() + value.rindex("\n") + 1
             continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line, col)
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n") + 1
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if c.isalpha():
-            # An underscore joins a name only when followed by an
-            # alphanumeric, so T_{a} still splits into a name and a block.
-            j = i
-            while j < n and (
-                text[j].isalnum()
-                or (text[j] == "_" and j + 1 < n and text[j + 1].isalnum())
-            ):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in DIGITS:
-            j = i
-            while j < n and text[j] in DIGITS:
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "%":
-            if text.startswith("%th", i) and not (
-                i + 3 < n and text[i + 3].isalnum()
-            ):
-                tokens.append(Token("PCTTH", "%th", line, col))
-                i += 3
-                col += 3
-                continue
-            j = i + 1
-            while j < n and text[j] in DIGITS:
-                j += 1
-            if j > i + 1:
-                tokens.append(Token("DUMMY", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            tokens.append(Token("PCT", "%", line, col))
-            i += 1
-            col += 1
-            continue
-        if c in PUNCT:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        elif kind == "NUMBER" or kind == "DUMMY":
+            if value[0] == "%" and value[1] == "0":
+                raise ParseError(f"invalid generated label {value!r}", line, col)
+            if max_digits and len(value.lstrip("%")) > max_digits:
+                raise ParseError(
+                    f"digit run longer than {max_digits} digits", line, col
+                )
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated comment", line, col)
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        append(new(Token, (kind, value, line, col)))
+    append(new(Token, ("EOF", "", line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -230,6 +219,9 @@ class Statement:
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        # Two spare EOFs: the parser never moves past the first, so reading
+        # up to two tokens ahead of ``pos`` needs no bounds check.
+        self.tokens += self.tokens[-1:] * 2
         self.pos = 0
         self.depth = 0
         self.peak = 0  # deepest level an inert block reached in this body
@@ -242,7 +234,7 @@ class Parser:
         self.depth += 1
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -254,16 +246,15 @@ class Parser:
         return self.peek(offset).kind == kind
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            if tok.kind == "EOF":
-                raise ParseError(
-                    f"unexpected end of input, expected {kind!r}", tok.line, tok.col
-                )
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:  # kind is never "EOF", so pos stays on the list
+            self.pos += 1
+            return tok
+        if tok.kind == "EOF":
             raise ParseError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col
+                f"unexpected end of input, expected {kind!r}", tok.line, tok.col
             )
-        return self.advance()
+        raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
 
     # -- statements --
 
@@ -306,24 +297,28 @@ class Parser:
     def parse_sum(self):
         operands = [self.parse_product()]
         ops = []
-        while self.at("+") or self.at("-"):
-            ops.append(self.advance().kind)
+        tokens = self.tokens
+        while (op := tokens[self.pos].kind) == "+" or op == "-":
+            self.pos += 1
+            ops.append(op)
             operands.append(self.parse_product())
         return Sum(tuple(operands), tuple(ops)) if ops else operands[0]
 
     def parse_product(self):
         operands = [self.parse_unary()]
         ops = []
-        while self.at("*") or self.at("/"):
-            ops.append(self.advance().kind)
+        tokens = self.tokens
+        while (op := tokens[self.pos].kind) == "*" or op == "/":
+            self.pos += 1
+            ops.append(op)
             operands.append(self.parse_unary())
         return Product(tuple(operands), tuple(ops)) if ops else operands[0]
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind not in ("-", "+"):
+        tok = self.tokens[self.pos]
+        if tok.kind != "-" and tok.kind != "+":
             return self.parse_power()
-        self.advance()
+        self.pos += 1
         self.enter(tok)
         node = self.parse_unary()
         self.depth -= 1
@@ -331,9 +326,9 @@ class Parser:
 
     def parse_power(self):
         base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "^" and not self.at("{", 1):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == "^" and self.tokens[self.pos + 1].kind != "{":
+            self.pos += 1
             self.enter(tok)
             exponent = self.parse_unary()
             self.depth -= 1
@@ -341,17 +336,27 @@ class Parser:
         return base
 
     def parse_index_label(self) -> str:
-        tok = self.peek()
-        if tok.kind in ("NAME", "DUMMY"):
-            return self.advance().value
+        tok = self.tokens[self.pos]
+        if tok.kind == "NAME" or tok.kind == "DUMMY":
+            self.pos += 1
+            return tok.value
         raise ParseError(f"expected an index, found {tok.value!r}", tok.line, tok.col)
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "NAME":
+            self.pos += 1
+            after = self.tokens[self.pos].kind
+            if after == "(":
+                return self.parse_call_or_factor(tok)
+            if (after == "_" or after == "^") and self.tokens[self.pos + 1].kind == "{":
+                return self.parse_printed_factor(tok.value)
+            return VarRef(tok.value)
+        if kind == "NUMBER":
+            self.pos += 1
             return Num(Fraction(int(tok.value)))
-        if tok.kind == "'":
+        if kind == "'":
             self.advance()
             name = self.expect("NAME")
             if name.value != "covdiff":
@@ -367,23 +372,16 @@ class Parser:
             index = self.parse_index_label()
             self.expect(")")
             return Wrap(body, (index,))
-        if tok.kind == "NAME":
-            self.advance()
-            if self.at("("):
-                return self.parse_call_or_factor(tok)
-            if (self.at("_") or self.at("^")) and self.at("{", 1):
-                return self.parse_printed_factor(tok.value)
-            return VarRef(tok.value)
-        if tok.kind == "PCT":
+        if kind == "PCT":
             self.advance()
             return HistRef(1)
-        if tok.kind == "PCTTH":
+        if kind == "PCTTH":
             self.advance()
             self.expect("(")
             n = int(self.expect("NUMBER").value)
             self.expect(")")
             return HistRef(n)
-        if tok.kind == "(":
+        if kind == "(":
             self.advance()
             self.enter(tok)
             outer_peak, self.peak = self.peak, self.depth
@@ -394,7 +392,7 @@ class Parser:
                 node = Wrap(node, tuple(self.parse_inert_block(self.peak)))
             self.peak = max(outer_peak, self.peak)
             return node
-        if tok.kind == "[":
+        if kind == "[":
             return self.parse_list()
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
@@ -418,11 +416,12 @@ class Parser:
 
     def parse_bracket_labels(self) -> list[str]:
         self.expect("[")
+        tokens = self.tokens
         labels = []
-        if not self.at("]"):
+        if tokens[self.pos].kind != "]":
             labels.append(self.parse_index_label())
-            while self.at(","):
-                self.advance()
+            while tokens[self.pos].kind == ",":
+                self.pos += 1
                 labels.append(self.parse_index_label())
         self.expect("]")
         return labels
@@ -431,16 +430,17 @@ class Parser:
         opener = self.expect("(")
         # lambda takes a parameter list, everything else with a leading
         # bracket is an indexed object
-        if self.at("[") and name_tok.value != "lambda":
+        tokens = self.tokens
+        if tokens[self.pos].kind == "[" and name_tok.value != "lambda":
             cov = self.parse_bracket_labels()
             contra: list[str] = []
             derivs: list[str] = []
             saw_contra = False
-            while self.at(","):
-                self.advance()
-                if self.at("["):
+            while tokens[self.pos].kind == ",":
+                self.pos += 1
+                if tokens[self.pos].kind == "[":
                     if saw_contra or derivs:
-                        tok = self.peek()
+                        tok = tokens[self.pos]
                         raise ParseError(
                             "unexpected second index list", tok.line, tok.col
                         )

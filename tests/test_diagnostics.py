@@ -2,6 +2,7 @@
 statement starts, exit statuses, and no raw tracebacks."""
 
 import io
+import sys
 
 import pytest
 
@@ -74,6 +75,52 @@ def test_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text, column):
     assert captured.err == ("parse error: unexpected character '\u00b2' "
                             f"(line 1, column {column})\n")
     assert captured.out == ""
+
+
+def run_main(tmp_path, capsys, text):
+    """Exit status, stdout and stderr of ``main`` on a script file."""
+    path = tmp_path / "s.ind"
+    path.write_text(text, encoding="utf-8")
+    status = main(["--script", str(path)])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_column_after_a_comment_that_spans_lines(tmp_path, capsys):
+    """The column after a multi-line comment used to be one too far."""
+    assert run_main(tmp_path, capsys, "/* a\ncomment */ x:@;") == (
+        1, "", "parse error: unexpected character '@' (line 2, column 14)\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """int() refuses strings of more than this many digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("before, after, column", [
+    ("x: ", ";", 4), ("%th(", ");", 5), ("T([%", "],[]);", 4),
+], ids=["number", "history", "generated-label"])
+def test_over_long_digit_run_is_a_parse_error(tmp_path, capsys, digit_limit,
+                                              before, after, column):
+    """5,000 digits used to end in a ValueError traceback from int(), or in
+    an internal error (exit 3) for a generated label."""
+    text = before + "1" * 5000 + after
+    assert run_main(tmp_path, capsys, text) == (
+        1, "", f"parse error: digit run longer than {digit_limit} digits "
+        f"(line 1, column {column})\n")
+
+
+def test_generated_label_with_a_leading_zero_is_a_parse_error(tmp_path, capsys):
+    """%01 and %1 used to share a sort key, so canform merged these two
+    different terms and printed 0."""
+    text = ("imetric(g)$ canform(T([%01,%1],[])*U([],[%1]) "
+            "- T([%1,%01],[])*U([],[%1]));")
+    assert run_main(tmp_path, capsys, text) == (
+        1, "", "parse error: invalid generated label '%01' (line 1, column 24)\n")
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])

@@ -13,6 +13,7 @@ from indicial.parse import (
     Wrap,
     parse_expression,
     parse_program,
+    tokenize,
 )
 
 from conftest import ev, make_rng
@@ -80,6 +81,21 @@ def test_missing_terminator():
 def test_comments_ignored():
     statements = parse_program("/* set up\n metric */ imetric(g)$")
     assert len(statements) == 1
+
+
+def test_column_after_a_comment_that_spans_lines():
+    assert tuple(tokenize("/*a\nbc*/x")[0]) == ("NAME", "x", 2, 5)
+    with pytest.raises(ParseError) as err:
+        parse_program("/* a\ncomment */ x:@;")
+    assert (err.value.line, err.value.column) == (2, 14)
+
+
+@pytest.mark.parametrize("label", ["%0", "%01", "%007"])
+def test_generated_label_has_no_leading_zero(label):
+    with pytest.raises(ParseError) as err:
+        parse_expression(f"T([a,{label}],[])")
+    assert str(err.value) == (f"invalid generated label {label!r} "
+                              "(line 1, column 6)")
 
 
 def test_unknown_command_rejected():
