@@ -31,6 +31,7 @@ from .exprs import (
     coarse_key,
     iter_positions,
     label_sort_key,
+    rational,
     rename_term_dummies,
     structural_key,
     validate_expression,
@@ -204,7 +205,7 @@ def _contract_level(session: Session, factors: list[FactorLike],
         if isinstance(f, InertDeriv):
             body, coeff = _contract_level(session, list(f.factors), coeff)
             if not coeff or all(g == Factor(DIM_SYMBOL) for g in body):
-                return [], Fraction(0)  # the derivative of a constant
+                return [], 0  # the derivative of a constant
             factors[i] = InertDeriv(tuple(body), f.index)
     return factors, coeff
 
@@ -386,7 +387,7 @@ def canform(session: Session, expr: Expression) -> Expression:
         else:
             buckets[key] = (canon.coeff, canon)
     terms = [
-        Term(coeff, rep.factors)
+        rep if coeff == rep.coeff else Term(rational(coeff), rep.factors)
         for key, (coeff, rep) in sorted(buckets.items(), key=lambda kv: kv[0])
         if coeff != 0
     ]

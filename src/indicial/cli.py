@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from . import algebra, calculus, rules
 from .errors import (
@@ -20,6 +19,7 @@ from .exprs import (
     mul,
     neg,
     power,
+    quotient,
     scalar,
     sub,
     validate,
@@ -50,9 +50,9 @@ from .session import Session
 DONE = "done"
 
 
-def _as_rational(expr: Expression) -> Fraction | None:
+def _as_rational(expr: Expression):
     if expr.is_zero():
-        return Fraction(0)
+        return 0
     if len(expr.terms) == 1 and not expr.terms[0].factors:
         return expr.terms[0].coeff
     return None
@@ -144,8 +144,8 @@ class Evaluator:
         return DONE
 
     def _builtin_idim(self, n):
-        if isinstance(n, Num) and n.value.denominator == 1:
-            self.session.set_dimension(int(n.value))
+        if isinstance(n, Num):
+            self.session.set_dimension(n.value)
         elif isinstance(n, VarRef) and n.name == "dim":
             self.session.dimension = None
         else:
@@ -155,11 +155,8 @@ class Evaluator:
     def _builtin_decsym(self, name, cov_arity, contra_arity, cov_blocks,
                         contra_blocks):
         name = self._name_arg(name, "tensor")
-        arities = []
-        for arg in (cov_arity, contra_arity):
-            if not isinstance(arg, Num) or arg.value.denominator != 1:
-                raise SemanticError("decsym arities must be integers")
-            arities.append(int(arg.value))
+        if not (isinstance(cov_arity, Num) and isinstance(contra_arity, Num)):
+            raise SemanticError("decsym arities must be integers")
 
         def blocks(node):
             if not isinstance(node, ListNode):
@@ -174,17 +171,14 @@ class Evaluator:
                     and item.args[0].name == "all"
                 ):
                     specs.append((item.fn, "all"))
+                elif all(isinstance(arg, Num) for arg in item.args):
+                    specs.append((item.fn, [arg.value for arg in item.args]))
                 else:
-                    positions = []
-                    for arg in item.args:
-                        if not isinstance(arg, Num) or arg.value.denominator != 1:
-                            raise SemanticError("block positions must be integers")
-                        positions.append(int(arg.value))
-                    specs.append((item.fn, positions))
+                    raise SemanticError("block positions must be integers")
             return specs
 
         algebra.decsym(
-            self.session, name, arities[0], arities[1],
+            self.session, name, cov_arity.value, contra_arity.value,
             blocks(cov_blocks), blocks(contra_blocks),
         )
         return DONE
@@ -341,7 +335,7 @@ class Evaluator:
             return scalar(node.value)
         if isinstance(node, Factor):
             session.register_arity(node.name, node.rank)
-            expr = Expression((validate(Term(Fraction(1), (node,))),))
+            expr = Expression((validate(Term(1, (node,))),))
             return calculus.expand_components(session, expr)
         if isinstance(node, VarRef):
             bound = session.bindings.get(node.name)
@@ -354,7 +348,7 @@ class Evaluator:
             # unbound bare name: a scalar symbol
             factor = Factor(node.name)
             session.register_arity(node.name, 0)
-            expr = Expression((Term(Fraction(1), (factor,)),))
+            expr = Expression((Term(1, (factor,)),))
             return calculus.expand_components(session, expr)
         if isinstance(node, HistRef):
             value = session.recall(node.n)
@@ -424,7 +418,7 @@ class Evaluator:
                 raise SemanticError("division is only defined by rational scalars")
             if q == 0:
                 raise SemanticError("division by zero")
-            value = mul(value, scalar(Fraction(1) / q))
+            value = mul(value, scalar(quotient(1, q)))
         return value
 
 
@@ -482,9 +476,11 @@ def _diagnostic(evaluator: Evaluator, stmt: Statement, exc: Exception) -> str:
 def repl(session: Session | None = None, fmt: str = "plain",
          trace: bool = False) -> int:
     """Interactive loop: reads statements, keeps the session alive across
-    errors, exits on quit; or end of input."""
+    errors, exits on quit; or end of input.  Each line is tokenized once, up
+    to a comment it leaves open, to find a statement end; the entry is
+    tokenized once more to run."""
     evaluator = Evaluator(session, fmt=fmt, trace=trace)
-    buffer = ""
+    buffer, scanned, ended = "", 0, False  # ended: a ``;`` or ``$`` seen
     while True:
         prompt = f"(%i{evaluator.stmt_no + 1}) " if not buffer else "      "
         try:
@@ -494,18 +490,26 @@ def repl(session: Session | None = None, fmt: str = "plain",
             return 0
         except KeyboardInterrupt:
             print()
-            buffer = ""
+            buffer, scanned, ended = "", 0, False
             continue
         buffer += line + "\n"
+        # where a comment left open starts, or -1: as in the tokenizer, a
+        # comment ends at the first */ after its /*, and no other token has /*
+        opened = scanned
+        while (opened := buffer.find("/*", opened)) >= 0:
+            if (close := buffer.find("*/", opened + 2)) < 0:
+                break
+            opened = close + 2
         try:
-            tokens = tokenize(buffer)
-        except ParseError as exc:
-            print(f"error: {exc}")
-            buffer = ""
-            continue
-        if not any(tok.kind in (";", "$") for tok in tokens):
-            continue
-        text, buffer = buffer, ""
+            tokens = tokenize(buffer[scanned:opened if opened >= 0 else None])
+        except ParseError:
+            pass  # parsing the entry reports the error where it stands
+        else:
+            scanned = opened if opened >= 0 else len(buffer)
+            ended = ended or any(tok.kind in (";", "$") for tok in tokens)
+            if not ended or opened >= 0:
+                continue
+        text, buffer, scanned, ended = buffer, "", 0, False
         try:
             statements = parse_program(text)
         except ParseError as exc:

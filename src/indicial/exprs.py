@@ -7,22 +7,21 @@ carries an ordered tuple of (label, up) slot pairs, where ``up`` is True for
 a contravariant position, plus a tuple of ordinary derivative indices, which
 always count as covariant positions.  Inert covariant derivatives are
 wrappers around a monomial; they distribute over sums at construction so a
-term is always a rational coefficient times a flat multiset of factor-like
-objects.
+term is always a rational coefficient (an int while it is whole, a Fraction
+once a division makes it fractional, never a float) times a flat multiset of
+factor-like objects.
 
-All of these objects are immutable.  A term's index structure (its labels
-with their variances, its dummy pairs, its free indices and its highest
-generated dummy) is therefore computed once, by one walk of its positions,
-and cached on the term as ``Term.indices``.  That cache is why ``Term``
-keeps its instance ``__dict__`` (no ``slots=True``); the summary is not a
-field, so it takes no part in equality, hashing or ``repr``.
+All of these objects are immutable: named tuples, or ``__slots__`` classes
+whose fields are never assigned after ``__init__``.  A term's index structure
+(its labels with their variances, its dummy pairs, its free indices and its
+highest generated dummy) is therefore computed once, by one walk of its
+positions, on first use of ``Term.indices``, and kept in a slot outside
+equality, hashing and ``repr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, NamedTuple, Union
 
 from .errors import (
@@ -73,29 +72,43 @@ def label_sort_key(label: str):
     return (0, 0, label)
 
 
-@dataclass(frozen=True)
 class Factor:
     """A named indexed object.
 
     ``slots`` preserves the order in which index positions were declared,
     mixing variances freely so that metric contraction can raise or lower a
-    slot in place without losing its position.
+    slot in place without losing its position.  Not a tuple: an inert
+    derivative is the factor-like value with an ``index``.
     """
 
-    name: str
-    slots: tuple[tuple[str, bool], ...] = ()
-    derivs: tuple[str, ...] = ()
+    __slots__ = ("name", "slots", "derivs")
+
+    def __init__(self, name: str, slots: tuple[tuple[str, bool], ...] = (),
+                 derivs: tuple[str, ...] = ()):
+        self.name, self.slots, self.derivs = name, slots, derivs
+
+    def __eq__(self, other):
+        if other.__class__ is not Factor:
+            return NotImplemented
+        return (self.name == other.name and self.slots == other.slots
+                and self.derivs == other.derivs)
+
+    def __hash__(self):
+        return hash((self.name, self.slots, self.derivs))
+
+    def __repr__(self):
+        return (f"Factor(name={self.name!r}, slots={self.slots!r}, "
+                f"derivs={self.derivs!r})")
 
     @property
     def rank(self) -> int:
         return len(self.slots)
 
     def variance_pattern(self) -> tuple[bool, ...]:
-        return tuple(up for _, up in self.slots)
+        return tuple([up for _, up in self.slots])
 
 
-@dataclass(frozen=True)
-class InertDeriv:
+class InertDeriv(NamedTuple):
     """An unexpanded covariant derivative applied to a monomial.
 
     ``factors`` is the differentiated monomial (never empty); ``index`` is
@@ -128,30 +141,72 @@ class IndexSummary(NamedTuple):
     top: int
 
 
-@dataclass(frozen=True)
+def _record_positions(factors, variances: dict[str, list[bool]]) -> None:
+    """Append the ``up`` flag of each position of ``factors`` to its label's
+    list, in ``iter_positions`` order."""
+    for f in factors:
+        if f.__class__ is Factor:
+            positions = f.slots
+            if f.derivs:
+                positions += tuple([(d, False) for d in f.derivs])
+        else:
+            _record_positions(f.factors, variances)
+            positions = ((f.index, False),)
+        for lbl, up in positions:
+            ups = variances.get(lbl)
+            if ups is None:
+                variances[lbl] = [up]
+            else:
+                ups.append(up)
+
+
+def _summarize(factors) -> IndexSummary:
+    variances: dict[str, list[bool]] = {}
+    _record_positions(factors, variances)
+    dummies, free, top = [], [], 0
+    for lbl, ups in variances.items():
+        n = len(ups)
+        if n == 1:
+            free.append((lbl, ups[0]))
+        elif n == 2:
+            dummies.append(lbl)
+        if is_dummy_label(lbl):
+            top = max(top, int(lbl[1:]))
+    # tuple.__new__ skips the Python-level IndexSummary.__new__
+    return tuple.__new__(IndexSummary, (variances, tuple(dummies), frozenset(free), top))
+
+
 class Term:
-    coeff: Fraction
-    factors: tuple[FactorLike, ...] = ()
+    """A rational coefficient times a tuple of factors.  Its ``repr``
+    writes the coefficient as a Fraction, whether it is held as one or not."""
 
-    @cached_property
+    __slots__ = ("coeff", "factors", "_indices")
+
+    def __init__(self, coeff, factors: tuple[FactorLike, ...] = ()):
+        self.coeff, self.factors, self._indices = coeff, factors, None
+
+    @property
     def indices(self) -> IndexSummary:
-        """The term's index summary, computed on first use."""
-        variances: dict[str, list[bool]] = {}
-        for lbl, up in iter_positions(self):
-            variances.setdefault(lbl, []).append(up)
-        dummies, free, top = [], [], 0
-        for lbl, ups in variances.items():
-            if len(ups) == 2:
-                dummies.append(lbl)
-            elif len(ups) == 1:
-                free.append((lbl, ups[0]))
-            if is_dummy_label(lbl):
-                top = max(top, int(lbl[1:]))
-        return IndexSummary(variances, tuple(dummies), frozenset(free), top)
+        summary = self._indices
+        if summary is None:
+            summary = self._indices = _summarize(self.factors)
+        return summary
+
+    def __eq__(self, other):
+        if other.__class__ is not Term:
+            return NotImplemented
+        return self.coeff == other.coeff and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.coeff, self.factors))
+
+    def __repr__(self):
+        c = self.coeff
+        return (f"Term(coeff=Fraction({c.numerator}, {c.denominator}), "
+                f"factors={self.factors!r})")
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """A sum of terms.  The empty sum is the canonical zero."""
 
     terms: tuple[Term, ...] = ()
@@ -163,6 +218,19 @@ class Expression:
 ZERO = Expression()
 
 
+def rational(value):
+    """``value`` as a coefficient: an int when it is whole, else a Fraction."""
+    value = value if value.__class__ in (int, Fraction) else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def quotient(a, b):
+    """The coefficient ``a / b``, exact: an int or a Fraction."""
+    if a.__class__ is b.__class__ is int and not a % b:
+        return a // b
+    return rational(Fraction(a, b))
+
+
 def fac(name: str, cov=(), contra=(), derivs=()) -> Factor:
     """Build a factor from separate covariant/contravariant index lists."""
     slots = tuple((lbl, False) for lbl in cov) + tuple((lbl, True) for lbl in contra)
@@ -170,7 +238,7 @@ def fac(name: str, cov=(), contra=(), derivs=()) -> Factor:
 
 
 def term(coeff, *factors: FactorLike) -> Term:
-    return Term(Fraction(coeff), tuple(factors))
+    return Term(rational(coeff), tuple(factors))
 
 
 def ex(*terms_: Term) -> Expression:
@@ -178,7 +246,7 @@ def ex(*terms_: Term) -> Expression:
 
 
 def scalar(value) -> Expression:
-    value = Fraction(value)
+    value = rational(value)
     if value == 0:
         return ZERO
     return Expression((Term(value),))
@@ -196,20 +264,12 @@ def iter_positions(obj) -> Iterator[tuple[str, bool]]:
     """
     if isinstance(obj, Factor):
         yield from obj.slots
-        for d in obj.derivs:
-            yield (d, False)
-    elif isinstance(obj, InertDeriv):
-        for f in obj.factors:
-            yield from iter_positions(f)
+        yield from ((d, False) for d in obj.derivs)
+        return
+    for f in obj.terms if isinstance(obj, Expression) else obj.factors:
+        yield from iter_positions(f)
+    if isinstance(obj, InertDeriv):
         yield (obj.index, False)
-    elif isinstance(obj, Term):
-        for f in obj.factors:
-            yield from iter_positions(f)
-    elif isinstance(obj, Expression):
-        for t in obj.terms:
-            yield from iter_positions(t)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"cannot iterate positions of {type(obj).__name__}")
 
 
 def map_labels(obj, mapping: dict[str, str]):
@@ -241,12 +301,17 @@ def validate(t: Term) -> Term:
     once in a lower position.  Returns the term unchanged.
     """
     ranks: dict[str, int] = {}
-    for f in walk_factors(t):
-        prior = ranks.setdefault(f.name, f.rank)
-        if prior != f.rank:
-            raise ArityMismatchError(
-                f"tensor {f.name!r} used with ranks {prior} and {f.rank}")
-    for lbl, ups in t.indices.variances.items():
+    for f in t.factors:
+        for g in (f,) if f.__class__ is Factor else walk_factors(f):
+            if (prior := ranks.setdefault(g.name, len(g.slots))) != len(g.slots):
+                raise ArityMismatchError(
+                    f"tensor {g.name!r} used with ranks {prior} and {g.rank}")
+    summary = t.indices
+    variances = summary.variances
+    # with no label three times over, only the dummies can break a rule
+    tight = len(summary.dummies) + len(summary.free) == len(variances)
+    for lbl in summary.dummies if tight else variances:
+        ups = variances[lbl]
         if len(ups) > 2:
             raise TripleIndexError(
                 f"index {lbl!r} appears {len(ups)} times in one term")
@@ -335,10 +400,11 @@ def add(*exprs: Expression) -> Expression:
 
 
 def scale(expr: Expression, factor) -> Expression:
-    factor = Fraction(factor)
+    factor = rational(factor)
     if factor == 0:
         return ZERO
-    return Expression(tuple(Term(t.coeff * factor, t.factors) for t in expr.terms))
+    return Expression(tuple(Term(rational(t.coeff * factor), t.factors)
+                            for t in expr.terms))
 
 
 def neg(expr: Expression) -> Expression:
@@ -357,23 +423,28 @@ def mul(e1: Expression, e2: Expression) -> Expression:
     only be deliberate free-index contractions and products of already
     collision-free terms keep their labels.
     """
-    floor = max([t.indices.top for e in (e1, e2) for t in e.terms], default=0)
+    floor = None  # the highest generated label in reach, once a dummy needs it
     out: list[Term] = []
     for t1 in e1.terms:
+        s1 = t1.indices
         for t2 in e2.terms:
-            coeff = t1.coeff * t2.coeff
-            if coeff == 0:
+            if not (coeff := rational(t1.coeff * t2.coeff)):
                 continue
-            renamed2 = _rename_colliding_dummies(t2, t1.indices.variances, floor)
-            # t1's dummies may meet the labels of t2 that were not renamed; the
-            # fresh labels lie above all of t1's
-            labels2 = t2.indices.variances
-            renamed1 = _rename_colliding_dummies(
-                t1, labels2.keys() - renamed2 if renamed2 else labels2,
-                floor + len(renamed2),
-            )
-            a = map_labels(t1, renamed1) if renamed1 else t1
-            b = map_labels(t2, renamed2) if renamed2 else t2
+            a, b = t1, t2
+            s2 = t2.indices
+            if s1.dummies or s2.dummies:
+                if floor is None:
+                    floor = max(t.indices.top for e in (e1, e2) for t in e.terms)
+                renamed2 = _rename_colliding_dummies(t2, s1.variances, floor)
+                # t1's dummies may meet the labels of t2 that were not renamed;
+                # the fresh labels lie above all of t1's
+                labels2 = s2.variances
+                renamed1 = _rename_colliding_dummies(
+                    t1, labels2.keys() - renamed2 if renamed2 else labels2,
+                    floor + len(renamed2),
+                )
+                a = map_labels(t1, renamed1) if renamed1 else t1
+                b = map_labels(t2, renamed2) if renamed2 else t2
             out.append(validate(Term(coeff, a.factors + b.factors)))
     result = Expression(tuple(out))
     free_indices(result)
@@ -427,12 +498,6 @@ def walk_factors(obj) -> Iterator[Factor]:
     """Yield every plain Factor in the tree, descending into inert bodies."""
     if isinstance(obj, Factor):
         yield obj
-    elif isinstance(obj, (Term, InertDeriv)):
-        for f in obj.factors:
-            if isinstance(f, Factor):
-                yield f
-            else:
-                yield from walk_factors(f)
-    elif isinstance(obj, Expression):
-        for t in obj.terms:
-            yield from walk_factors(t)
+        return
+    for f in obj.terms if isinstance(obj, Expression) else obj.factors:
+        yield from walk_factors(f)

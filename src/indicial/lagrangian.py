@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import canform, contract, expand
 from .calculus import covdiff, fdiff, mapcovdiff
@@ -20,8 +20,7 @@ from .rules import apply1
 from .session import Session
 
 
-@dataclass(frozen=True)
-class FieldEquation:
+class FieldEquation(NamedTuple):
     """Left-hand side of a field equation (implicitly = 0) plus the ordered
     pipeline stages that produced it."""
 

@@ -238,9 +238,7 @@ DEFAULT_POOL = (
 
 
 def _random_term(session: Session, rng, free, pool, max_factors: int):
-    from fractions import Fraction
-
-    from .exprs import Factor, Term, validate
+    from .exprs import Factor, Term, quotient, validate
 
     for _ in range(200):
         count = int(rng.integers(2, max_factors + 1))
@@ -303,7 +301,7 @@ def _random_term(session: Session, rng, free, pool, max_factors: int):
         num = int(rng.integers(-4, 5)) or 1
         den = int(rng.integers(1, 4))
         try:
-            return validate(Term(Fraction(num, den), tuple(factors)))
+            return validate(Term(quotient(num, den), tuple(factors)))
         except Exception:
             continue
     raise RuntimeError("could not build a random term")

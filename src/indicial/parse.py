@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownCommandError
@@ -139,74 +137,23 @@ def tokenize(text: str) -> list[Token]:
 # --- syntax tree -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
-    value: Fraction
+# Wrap: inert covariant derivatives of ``body``, one per index in order,
+# ``'covdiff(body, i)`` or ``(body)_{;i ...}``.  Sum, Product: operands
+# combined left to right; ``ops[i]`` (``+``/``-``, ``*``/``/``) stands before
+# ``operands[i + 1]``.
+Num = NamedTuple("Num", [("value", int)])
+VarRef = NamedTuple("VarRef", [("name", str)])
+HistRef = NamedTuple("HistRef", [("n", int)])
+ListNode = NamedTuple("ListNode", [("items", tuple)])
+Call = NamedTuple("Call", [("fn", str), ("args", tuple)])
+Wrap = NamedTuple("Wrap", [("body", object), ("indices", tuple)])
+Unary = NamedTuple("Unary", [("op", str), ("operand", object)])
+Bin = NamedTuple("Bin", [("op", str), ("left", object), ("right", object)])
+Sum = NamedTuple("Sum", [("operands", tuple), ("ops", tuple)])
+Product = NamedTuple("Product", [("operands", tuple), ("ops", tuple)])
 
 
-@dataclass(frozen=True, slots=True)
-class VarRef:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class HistRef:
-    n: int
-
-
-@dataclass(frozen=True, slots=True)
-class ListNode:
-    items: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Call:
-    fn: str
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Wrap:
-    """Inert covariant derivatives of ``body``, one per index in order:
-    ``'covdiff(body, i)`` or ``(body)_{;i ...}``."""
-
-    body: object
-    indices: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str
-    operand: object
-
-
-@dataclass(frozen=True, slots=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Sum:
-    """Operands added left to right; ``ops[i]`` (``+`` or ``-``) stands
-    before ``operands[i + 1]``."""
-
-    operands: tuple
-    ops: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Product:
-    """Operands multiplied left to right; ``ops[i]`` (``*`` or ``/``) stands
-    before ``operands[i + 1]``."""
-
-    operands: tuple
-    ops: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Statement:
+class Statement(NamedTuple):
     """One statement; ``line`` and ``col`` locate its first token."""
 
     node: object
@@ -355,7 +302,7 @@ class Parser:
             return VarRef(tok.value)
         if kind == "NUMBER":
             self.pos += 1
-            return Num(Fraction(int(tok.value)))
+            return Num(int(tok.value))
         if kind == "'":
             self.advance()
             name = self.expect("NAME")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .exprs import Expression, Factor, FactorLike, InertDeriv, Term
@@ -150,6 +149,8 @@ def expression_to_obj(expr: Expression):
 
 
 def render_json(expr: Expression) -> str:
+    import json  # here, so that importing the library does not load it
+
     return json.dumps(expression_to_obj(expr), separators=(", ", ": "))
 
 

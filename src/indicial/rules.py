@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
@@ -26,6 +25,8 @@ from .exprs import (
     iter_positions,
     map_labels,
     mul,
+    quotient,
+    rational,
     structural_key,
     validate,
     validate_expression,
@@ -155,7 +156,7 @@ def _pattern_matches(t: Term, pattern_term: Term, variants, metavars):
     canonicalized subject still matches."""
     for p_factors, p_sign in variants:
         for binding, rest in _match_subsets(t.factors, p_factors, metavars):
-            yield t.coeff / (pattern_term.coeff * p_sign), binding, rest
+            yield quotient(t.coeff, pattern_term.coeff * p_sign), binding, rest
 
 
 class _CanonicalSum:
@@ -187,18 +188,16 @@ class _CanonicalSum:
         if (produced.terms and kept is not None
                 and produced.terms[0].indices.free != self.terms[kept].indices.free):
             return False
-        coeffs = {key: Fraction(0) for key in removed}
-        factors = {}
-        for t in canform(session, produced).terms:
+        updates = dict.fromkeys(removed)  # key -> its new term; None: no term
+        for t in canform(session, produced).terms:  # one term per key
             key = structural_key(t)
-            if key not in coeffs:
-                old = self.terms.get(key)
-                coeffs[key] = old.coeff if old is not None else Fraction(0)
-            factors[key] = t.factors
-            coeffs[key] += t.coeff
+            old = None if key in updates else self.terms.get(key)
+            updates[key] = t if old is None else Term(rational(old.coeff + t.coeff),
+                                                      t.factors)
         changed = False
-        for key, coeff in coeffs.items():
+        for key, t in updates.items():
             old = self.terms.get(key)
+            coeff = t.coeff if t is not None else 0
             if coeff == (old.coeff if old is not None else 0):
                 continue
             changed = True
@@ -208,7 +207,7 @@ class _CanonicalSum:
             else:
                 if old is None:
                     insort(self.keys, key)
-                self.terms[key] = Term(coeff, factors[key])
+                self.terms[key] = t
         return changed
 
 
@@ -244,7 +243,8 @@ def _rewrite_once(session: Session, current: _CanonicalSum,
             try:
                 produced = mul(
                     Expression((Term(ratio, rest),)),
-                    map_labels(rule.replacement, binding),
+                    map_labels(rule.replacement, binding) if binding
+                    else rule.replacement,
                 )
             except ValidationError:
                 continue

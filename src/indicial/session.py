@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatchError,
@@ -13,27 +13,15 @@ from .errors import (
 from .exprs import CHRISTOFFEL, Expression, Factor, KDELTA
 
 
-@dataclass(frozen=True)
-class SymmetryBlock:
-    kind: str  # "sym" or "anti"
-    positions: tuple[int, ...]
+# kind is "sym" or "anti"
+SymmetryBlock = NamedTuple("SymmetryBlock", [("kind", str), ("positions", tuple)])
+ComponentDef = NamedTuple("ComponentDef", [("signature", Factor),
+                                           ("definition", Expression)])
+RewriteRule = NamedTuple("RewriteRule", [("name", str), ("pattern", Expression),
+                                         ("replacement", Expression),
+                                         ("metavars", frozenset)])
 
 
-@dataclass(frozen=True)
-class ComponentDef:
-    signature: Factor
-    definition: Expression
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    pattern: Expression
-    replacement: Expression
-    metavars: frozenset[str]
-
-
-@dataclass
 class Session:
     """Metric configuration, declarations, rules, bindings, and history.
 
@@ -41,24 +29,18 @@ class Session:
     is the only mutable state.
     """
 
-    metric: str | None = None
-    dimension: int | None = None
-    geowedge: bool = True
-    symmetries: dict[str, tuple[SymmetryBlock, ...]] = field(default_factory=dict)
-    components: dict[str, ComponentDef] = field(default_factory=dict)
-    rules: dict[str, RewriteRule] = field(default_factory=dict)
-    metavars: set[str] = field(default_factory=set)
-    bindings: dict[str, object] = field(default_factory=dict)
-    history: list[object] = field(default_factory=list)
-    arities: dict[str, int] = field(default_factory=dict)
-    extdiff_used: bool = False
-
-    def __post_init__(self):
-        self.arities.setdefault(KDELTA, 2)
-        self.arities.setdefault(CHRISTOFFEL, 3)
-        self.symmetries.setdefault(
-            CHRISTOFFEL, (SymmetryBlock("sym", (0, 1)),)
-        )
+    def __init__(self, metric: str | None = None, dimension: int | None = None,
+                 geowedge: bool = True):
+        self.metric, self.dimension, self.geowedge = metric, dimension, geowedge
+        self.symmetries: dict[str, tuple[SymmetryBlock, ...]] = {
+            CHRISTOFFEL: (SymmetryBlock("sym", (0, 1)),)}
+        self.components: dict[str, ComponentDef] = {}
+        self.rules: dict[str, RewriteRule] = {}
+        self.metavars: set[str] = set()
+        self.bindings: dict[str, object] = {}
+        self.history: list[object] = []
+        self.arities: dict[str, int] = {KDELTA: 2, CHRISTOFFEL: 3}
+        self.extdiff_used = False
 
     def set_metric(self, name: str) -> None:
         self.metric = name

@@ -192,3 +192,31 @@ def test_repl_reports_every_error_and_keeps_going(monkeypatch, capsys):
         "index 'a' repeated in covariant position",
         "(%o3) w",
     ]
+
+
+def test_repl_tokenizes_each_line_once(monkeypatch, capsys):
+    """A four-line entry, with a comment over two lines that holds a ';':
+    one tokenize call per line and one for the finished entry, and no text
+    tokenized more than twice (once in its line, once in the entry)."""
+    from indicial import cli, parse
+
+    entry = ["y: x([a],[]) /* a comment;", "   that ends here */ *",
+             "  w", "  ;"]
+    lines = iter(entry + ["y;", "quit;"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+    texts = []
+    original = parse.tokenize
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(parse, "tokenize", counting)
+    monkeypatch.setattr(cli, "tokenize", counting)
+    assert repl() == 0
+    assert capsys.readouterr().out.splitlines() == ["(%o1) x_{a}*w",
+                                                    "(%o2) x_{a}*w"]
+    entry_text = "".join(line + "\n" for line in entry)
+    assert len(texts) == 4 + 1 + 2 * 2  # the entry, then "y;" and "quit;"
+    assert sum(map(len, texts[:5])) <= 2 * len(entry_text)
+    assert texts[4] == entry_text
