@@ -29,8 +29,9 @@ from .exprs import (
     KDELTA,
     Term,
     coarse_key,
-    iter_positions,
     label_sort_key,
+    map_labels,
+    positions,
     rational,
     rename_term_dummies,
     structural_key,
@@ -119,27 +120,6 @@ def _is_kdelta(f: FactorLike) -> bool:
     return isinstance(f, Factor) and f.name == KDELTA and f.rank == 2
 
 
-def _replace_first_position(f: FactorLike, label: str, up: bool, new_label: str):
-    """Relabel the first position matching (label, up); None if absent."""
-    if isinstance(f, Factor):
-        for i, (lbl, u) in enumerate(f.slots):
-            if lbl == label and u == up:
-                slots = f.slots[:i] + ((new_label, up),) + f.slots[i + 1:]
-                return Factor(f.name, slots, f.derivs)
-        if not up and label in f.derivs:
-            i = f.derivs.index(label)
-            derivs = f.derivs[:i] + (new_label,) + f.derivs[i + 1:]
-            return Factor(f.name, f.slots, derivs)
-        return None
-    for i, g in enumerate(f.factors):
-        replaced = _replace_first_position(g, label, up, new_label)
-        if replaced is not None:
-            return InertDeriv(f.factors[:i] + (replaced,) + f.factors[i + 1:], f.index)
-    if not up and f.index == label:
-        return InertDeriv(f.factors, new_label)
-    return None
-
-
 def _edited(factors: list, drop, j: int | None = None, new=None) -> list:
     """``factors`` with ``factors[j]`` replaced by ``new`` and the positions
     in ``drop`` removed."""
@@ -157,10 +137,10 @@ def _contraction_step(session: Session, factors: list):
             return _edited(factors, (i,)), True
         for lbl, up, other in ((l0, u0, l1), (l1, u1, l0)):
             for j, g in enumerate(factors):
-                if j != i:
-                    replaced = _replace_first_position(g, lbl, not up, other)
-                    if replaced is not None:
-                        return _edited(factors, (i,), j, replaced), False
+                # g holds the only other lbl: a valid term has no third one
+                if j != i and (lbl, not up) in positions(g):
+                    new = map_labels(g, {lbl: other})
+                    return _edited(factors, (i,), j, new), False
     metrics = [i for i, f in enumerate(factors) if _is_metric(session, f)]
     for i, j in combinations(metrics, 2):
         f, g = factors[i], factors[j]
@@ -178,13 +158,12 @@ def _contraction_step(session: Session, factors: list):
         slots = factors[i].slots
         for (lbl, up), (other, _) in ((slots[0], slots[1]), (slots[1], slots[0])):
             for j, g in enumerate(factors):
-                if j == i or not isinstance(g, Factor) or _is_metric(session, g):
+                if (j == i or not isinstance(g, Factor) or _is_metric(session, g)
+                        or (lbl, not up) not in g.slots):
                     continue
-                for k, (slbl, sup) in enumerate(g.slots):
-                    if slbl == lbl and sup != up:
-                        moved = g.slots[:k] + ((other, up),) + g.slots[k + 1:]
-                        new = Factor(g.name, moved, g.derivs)
-                        return _edited(factors, (i,), j, new), False
+                k = g.slots.index((lbl, not up))
+                moved = g.slots[:k] + ((other, up),) + g.slots[k + 1:]
+                return _edited(factors, (i,), j, Factor(g.name, moved, g.derivs)), False
     return None
 
 
@@ -300,7 +279,7 @@ def _position_keys(f: FactorLike, dummies, numbering: dict):
     """``f``'s label keys after the dummies in ``numbering``; the ones it adds."""
     keys = []
     new: dict[str, int] = {}
-    for lbl, _ in iter_positions(f):
+    for lbl, _ in positions(f):
         if lbl in dummies:
             n = numbering.get(lbl) or new.setdefault(lbl, len(numbering) + len(new) + 1)
             keys.append((1, n, ""))  # label_sort_key of the renamed dummy

@@ -32,6 +32,7 @@ from .exprs import (
     label_sort_key,
     map_labels,
     mul,
+    positions,
     scale,
     validate,
     validate_expression,
@@ -301,7 +302,7 @@ def fdiff(session: Session, expr: Expression, target: Factor) -> Expression:
     pair in sorted order since partials commute.  Everything else is a
     constant.  A dummy pair that clashes with a target index is renamed first.
     """
-    t_labels = [lbl for lbl, _ in target.slots] + list(target.derivs)
+    t_labels = [lbl for lbl, _ in positions(target)]
     if len(set(t_labels)) != len(t_labels):
         raise PatternIndexCollisionError("target indices must be distinct")
     frees = {lbl for lbl, _ in free_indices(expr)}

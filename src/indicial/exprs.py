@@ -15,8 +15,8 @@ All of these objects are immutable: named tuples, or ``__slots__`` classes
 whose fields are never assigned after ``__init__``.  A term's index structure
 (its labels with their variances, its dummy pairs, its free indices and its
 highest generated dummy) is therefore computed once, by one walk of its
-positions, on first use of ``Term.indices``, and kept in a slot outside
-equality, hashing and ``repr``.
+``positions`` (the one order of index positions), on first use of
+``Term.indices``, and kept in a slot outside equality, hashing and ``repr``.
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ def inert_depth(factors) -> int:
 
 
 class IndexSummary(NamedTuple):
-    """A term's index structure, from one walk of its positions: each label
-    in first-occurrence order with the ``up`` flags of its positions, the
-    labels that occur twice (in that order), the (label, up) pairs of those
-    that occur once, and the highest generated-dummy number (0 if none)."""
+    """A term's index structure, from one walk of its ``positions``: each
+    label in first-occurrence order with the ``up`` flags of its positions,
+    the labels that occur twice (in that order), the (label, up) pairs of
+    those that occur once, and the highest generated-dummy number (0 if none)."""
 
     variances: dict[str, list[bool]]
     dummies: tuple[str, ...]
@@ -141,28 +141,29 @@ class IndexSummary(NamedTuple):
     top: int
 
 
-def _record_positions(factors, variances: dict[str, list[bool]]) -> None:
-    """Append the ``up`` flag of each position of ``factors`` to its label's
-    list, in ``iter_positions`` order."""
+def positions(f: FactorLike) -> tuple[tuple[str, bool], ...]:
+    """The (label, up) pairs of one factor-like, in the one order every walk
+    of index positions follows: its slots, then its derivative indices; for
+    an inert derivative, its body's positions, then its index.  Derivative
+    and wrapper indices are covariant."""
+    if f.__class__ is Factor:
+        if not f.derivs:
+            return f.slots
+        return f.slots + tuple([(d, False) for d in f.derivs])
+    return tuple([p for g in f.factors for p in positions(g)]) + ((f.index, False),)
+
+
+def _summarize(factors) -> IndexSummary:
+    variances: dict[str, list[bool]] = {}
     for f in factors:
-        if f.__class__ is Factor:
-            positions = f.slots
-            if f.derivs:
-                positions += tuple([(d, False) for d in f.derivs])
-        else:
-            _record_positions(f.factors, variances)
-            positions = ((f.index, False),)
-        for lbl, up in positions:
+        # a plain factor without derivatives is its slots: no call needed
+        plain = f.__class__ is Factor and not f.derivs
+        for lbl, up in f.slots if plain else positions(f):
             ups = variances.get(lbl)
             if ups is None:
                 variances[lbl] = [up]
             else:
                 ups.append(up)
-
-
-def _summarize(factors) -> IndexSummary:
-    variances: dict[str, list[bool]] = {}
-    _record_positions(factors, variances)
     dummies, free, top = [], [], 0
     for lbl, ups in variances.items():
         n = len(ups)
@@ -187,6 +188,7 @@ class Term:
 
     @property
     def indices(self) -> IndexSummary:
+        """The ``IndexSummary``, labels in ``positions`` order; computed once."""
         summary = self._indices
         if summary is None:
             summary = self._indices = _summarize(self.factors)
@@ -253,23 +255,6 @@ def scalar(value) -> Expression:
 
 
 ONE = scalar(1)
-
-
-def iter_positions(obj) -> Iterator[tuple[str, bool]]:
-    """Yield every index position of a factor, term, or expression.
-
-    Positions appear in a fixed traversal order: factor slots, then ordinary
-    derivative indices, then (for inert wrappers) body positions followed by
-    the wrapper index.  Derivative and wrapper indices are covariant.
-    """
-    if isinstance(obj, Factor):
-        yield from obj.slots
-        yield from ((d, False) for d in obj.derivs)
-        return
-    for f in obj.terms if isinstance(obj, Expression) else obj.factors:
-        yield from iter_positions(f)
-    if isinstance(obj, InertDeriv):
-        yield (obj.index, False)
 
 
 def map_labels(obj, mapping: dict[str, str]):
@@ -342,13 +327,13 @@ def validate_expression(expr: Expression) -> Expression:
     return expr
 
 
-def rename_term_dummies(t: Term, start: int = 1) -> Term:
-    """Relabel the term's dummy pairs as %start, %start+1, ... in
-    first-occurrence order.  Free indices are untouched."""
+def rename_term_dummies(t: Term) -> Term:
+    """Relabel the term's dummy pairs as %1, %2, ... in first-occurrence
+    order.  Free indices are untouched."""
     dummies = t.indices.dummies
     if not dummies:
         return t
-    return map_labels(t, {lbl: dummy_label(n) for n, lbl in enumerate(dummies, start)})
+    return map_labels(t, {lbl: dummy_label(n) for n, lbl in enumerate(dummies, 1)})
 
 
 def rename_dummies(expr: Expression) -> Expression:

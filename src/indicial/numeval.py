@@ -15,13 +15,14 @@ from __future__ import annotations
 from itertools import permutations
 from typing import TYPE_CHECKING
 
-from .errors import InertOperatorError, SemanticError, UnboundNameError
+from .errors import InertOperatorError, SemanticError, UnboundNameError, ValidationError
 from .exprs import (
     DIM_SYMBOL,
     Expression,
     InertDeriv,
     KDELTA,
     Term,
+    positions,
     walk_factors,
 )
 from .session import Session
@@ -142,7 +143,7 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
     value = float(t.coeff)
     operands = []
     for f in t.factors:
-        labels = [lbl for lbl, _ in f.slots] + list(f.derivs)
+        labels = [lbl for lbl, _ in positions(f)]
         if f.name == DIM_SYMBOL:
             value *= assignment.dim
             continue
@@ -247,62 +248,45 @@ def _random_term(session: Session, rng, free, pool, max_factors: int):
             kind = int(rng.integers(0, 10))
             if session.metric is not None and kind == 0:
                 up = bool(rng.integers(0, 2))
-                protos.append((session.metric, ((up, up)), 0))
+                protos.append((session.metric, 2, (up, up)))
             elif kind == 1:
-                protos.append((KDELTA, (False, True), 0))
+                protos.append((KDELTA, 2, (False, True)))
             else:
                 name, rank = pool[int(rng.integers(0, len(pool)))]
                 pattern = tuple(bool(rng.integers(0, 2)) for _ in range(rank))
                 nderivs = int(rng.integers(0, 2))
-                protos.append((name, pattern, nderivs))
-        positions = []  # (factor, slot-or-deriv offset, up)
-        for fi, (_, pattern, nderivs) in enumerate(protos):
-            for si, up in enumerate(pattern):
-                positions.append([fi, si, up])
-            for di in range(nderivs):
-                positions.append([fi, len(pattern) + di, False])
-        unused = list(range(len(positions)))
-        labels: dict[int, str] = {}
-        ok = True
+                protos.append((name, rank, pattern + (False,) * nderivs))
+        # the up flag of every position, in ``positions`` order
+        flags = [up for _, _, pattern in protos for up in pattern]
+        labels = [None] * len(flags)
+        unused = list(range(len(flags)))
         for lbl, up in free:
-            options = [i for i in unused if positions[i][2] == up]
+            options = [i for i in unused if flags[i] == up]
             if not options:
-                ok = False
                 break
             pick = options[int(rng.integers(0, len(options)))]
             labels[pick] = lbl
             unused.remove(pick)
-        if not ok:
-            continue
-        ups = [i for i in unused if positions[i][2]]
-        downs = [i for i in unused if not positions[i][2]]
-        if len(ups) != len(downs):
+        ups = [i for i in unused if flags[i]]
+        downs = [i for i in unused if not flags[i]]
+        # a free index found no position, or the rest do not pair up
+        if len(unused) + len(free) != len(flags) or len(ups) != len(downs):
             continue
         rng.shuffle(ups)
         rng.shuffle(downs)
         for n, (i, j) in enumerate(zip(ups, downs), start=1):
             labels[i] = labels[j] = f"q{n}"
-        factors = []
-        for fi, (name, pattern, nderivs) in enumerate(protos):
-            slot_labels = {}
-            deriv_labels = {}
-            for pi, (pfi, off, up) in enumerate(positions):
-                if pfi != fi:
-                    continue
-                if off < len(pattern):
-                    slot_labels[off] = labels[pi]
-                else:
-                    deriv_labels[off - len(pattern)] = labels[pi]
-            slots = tuple(
-                (slot_labels[si], up) for si, up in enumerate(pattern)
-            )
-            derivs = tuple(deriv_labels[di] for di in range(nderivs))
-            factors.append(Factor(name, slots, derivs))
+        factors, at = [], 0
+        for name, rank, pattern in protos:
+            own = labels[at:at + len(pattern)]
+            at += len(own)
+            factors.append(Factor(name, tuple(zip(own[:rank], pattern)),
+                                  tuple(own[rank:])))
         num = int(rng.integers(-4, 5)) or 1
         den = int(rng.integers(1, 4))
         try:
             return validate(Term(quotient(num, den), tuple(factors)))
-        except Exception:
+        except ValidationError:
             continue
     raise RuntimeError("could not build a random term")
 

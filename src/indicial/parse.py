@@ -152,6 +152,12 @@ Bin = NamedTuple("Bin", [("op", str), ("left", object), ("right", object)])
 Sum = NamedTuple("Sum", [("operands", tuple), ("ops", tuple)])
 Product = NamedTuple("Product", [("operands", tuple), ("ops", tuple)])
 
+# A node equals only a node of its own kind: Num(1) is not HistRef(1).
+for _node in (Num, VarRef, HistRef, ListNode, Call, Wrap, Unary, Bin, Sum, Product):
+    _node.__eq__ = lambda a, b: a.__class__ is b.__class__ and tuple.__eq__(a, b)
+    _node.__ne__ = lambda a, b: not a == b
+    _node.__hash__ = lambda a: hash((a.__class__.__name__, tuple.__hash__(a)))
+
 
 class Statement(NamedTuple):
     """One statement; ``line`` and ``col`` locate its first token."""

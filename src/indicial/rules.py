@@ -18,13 +18,12 @@ from .exprs import (
     Expression,
     Factor,
     FactorLike,
-    InertDeriv,
     Term,
     coarse_key,
     free_indices,
-    iter_positions,
     map_labels,
     mul,
+    positions,
     quotient,
     rational,
     structural_key,
@@ -50,9 +49,9 @@ def defrule(session: Session, name: str, pattern: Expression,
         raise SemanticError("rule patterns must have one or two terms")
     validate_expression(pattern)
     validate_expression(replacement)
-    pattern_labels = {lbl for lbl, _ in iter_positions(pattern)}
+    pattern_labels = {lbl for t in pattern.terms for lbl in t.indices.variances}
     metavars = frozenset(session.metavars & pattern_labels)
-    replacement_labels = {lbl for lbl, _ in iter_positions(replacement)}
+    replacement_labels = {lbl for t in replacement.terms for lbl in t.indices.variances}
     unbound = (session.metavars & replacement_labels) - metavars
     if unbound:
         raise UnboundMetavariableError(
@@ -99,28 +98,14 @@ def _bind(pattern_label: str, subject_label: str, metavars: frozenset[str],
 
 
 def _match_factor(p: FactorLike, s: FactorLike, metavars, binding) -> bool:
-    if isinstance(p, Factor):
-        if not isinstance(s, Factor):
-            return False
-        if p.name != s.name or p.variance_pattern() != s.variance_pattern():
-            return False
-        if len(p.derivs) != len(s.derivs):
-            return False
-        for (pl, _), (sl, _) in zip(p.slots, s.slots):
-            if not _bind(pl, sl, metavars, binding):
-                return False
-        for pd, sd in zip(p.derivs, s.derivs):
-            if not _bind(pd, sd, metavars, binding):
-                return False
-        return True
-    if not isinstance(s, InertDeriv):
+    """Whether ``s`` has the shape of ``p`` and its labels extend ``binding``
+    position by position."""
+    if coarse_key(p) != coarse_key(s):
         return False
-    if len(p.factors) != len(s.factors):
-        return False
-    for pf, sf in zip(p.factors, s.factors):
-        if not _match_factor(pf, sf, metavars, binding):
+    for (pl, _), (sl, _) in zip(positions(p), positions(s)):
+        if not _bind(pl, sl, metavars, binding):
             return False
-    return _bind(p.index, s.index, metavars, binding)
+    return True
 
 
 def _match_subsets(factors: tuple[FactorLike, ...],

@@ -1,6 +1,6 @@
 """The index summary cached on each ``Term``: how often terms are walked, that
-the cache is invisible to equality, hashing and ``repr``, and that it agrees
-with a walk written out here."""
+the cache is invisible to equality, hashing and ``repr``, and that it and
+``exprs.positions`` agree with a walk written out here."""
 
 import random
 from fractions import Fraction
@@ -13,8 +13,10 @@ from indicial.exprs import (
     Expression,
     InertDeriv,
     Term,
+    dummy_label,
+    map_labels,
     mul,
-    rename_term_dummies,
+    positions,
 )
 from indicial.numeval import random_expression
 
@@ -119,7 +121,9 @@ def variants(rng: random.Random, t: Term):
     """``t``, its dummies renamed to generated labels, both with a prefix of
     their factors nested in one or two inert derivatives, and both with their
     first factor repeated, so that labels occur three or four times."""
-    renamed = rename_term_dummies(t, rng.randrange(1, 9))
+    start = rng.randrange(1, 9)
+    renamed = map_labels(t, {lbl: dummy_label(n)
+                             for n, lbl in enumerate(t.indices.dummies, start)})
     for u in (t, renamed):
         yield u
         yield Term(u.coeff, u.factors + u.factors[:1])
@@ -138,6 +142,9 @@ def test_summary_matches_a_reference_walk(sym_session, free):
         for t in random_expression(sym_session, rng, free=free).terms:
             for u in variants(py_rng, t):
                 assert tuple(u.indices) == reference_summary(u), u
+                # the one position order, walked out by the reference
+                for f in u.factors:
+                    assert positions(f) == tuple(reference_positions(f)), f
                 checked += 1
     assert checked > 500
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from indicial.errors import InertOperatorError, SemanticError, UnboundNameError
-from indicial.exprs import DIM_SYMBOL, KDELTA, iter_positions
+from indicial.exprs import DIM_SYMBOL, KDELTA, positions
 from indicial.numeval import (
     ComponentAssignment,
     assignment_from_fixture,
@@ -166,8 +166,9 @@ def reference_eval(expr, assignment, bind=None):
     total = 0.0
     for t in expr.terms:
         counts = {}
-        for lbl, _ in iter_positions(t):
-            counts[lbl] = counts.get(lbl, 0) + 1
+        for f in t.factors:
+            for lbl, _ in positions(f):
+                counts[lbl] = counts.get(lbl, 0) + 1
         dummies = sorted(lbl for lbl, n in counts.items() if n == 2)
         for combo in product(range(assignment.dim), repeat=len(dummies)):
             valuation = dict(bind or {})

@@ -163,6 +163,8 @@ def test_nesting_error_points_at_the_token_that_went_too_deep():
 def test_history_references():
     assert parse_expression("%") == HistRef(1)
     assert parse_expression("%th(2)") == HistRef(2)
+    # equal fields of another kind of node are not equal
+    assert parse_expression("%th(1)") != parse_expression("1")
 
 
 def test_equation_parses_to_difference(session):
