@@ -3,10 +3,16 @@
 A term's rearrangements reorder its factors within groups of equal
 label-free shape (``coarse_key``), crossed with each factor's signed
 ``arrangements``: declared symmetry blocks whose slots share a variance,
-commuting derivative indices, and for an inert derivative its body.  With
-dummies renamed in first-occurrence order the least ``structural_key`` is
-canonical; ``canonical_term`` finds it by a depth-first search that keeps
-only the least key prefix, as Butler-Portugal canonicalization does.
+commuting derivative indices, and for an inert derivative its body.  A
+plain factor's arrangements are label-free signed position orders, a table
+computed once per factor shape (declared blocks, variance pattern, number of
+derivatives), as Butler-Portugal canonicalization keeps its group as signed
+permutations.  With dummies renamed in first-occurrence order the least
+``structural_key`` is canonical; ``canonical_term`` finds it by a depth-first
+search that keeps only the least key prefix and weighs each choice by
+permuting label keys with a table's orders.  A term with no choice to make
+(each coarse group holds copies of one factor with a one-entry table) skips
+the search.
 
 Open limitation: the metric is not in the group.  No dummy pair swaps its
 upper and lower slots and a block of mixed variance is not applied, so the
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, islice, permutations, product
-from math import prod
+from math import factorial, prod
 
 from .errors import CanformSizeError, ConflictingDeclarationError, SemanticError
 from .exprs import (
@@ -244,71 +250,141 @@ def _coarse_groups(factors) -> list[tuple[FactorLike, ...]]:
                                          key=coarse_key)]
 
 
+# (declared blocks, variance pattern, number of derivatives) -> its table: a
+# pure function of the shape, so one per shape met serves every session
+_TABLES: dict = {}
+
+
+def _table(session: Session, f: Factor) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The signed position orders of a plain factor's shape, in
+    ``arrangements`` order: an arrangement puts ``positions(f)[order[k]]`` at
+    position k.  Each declared block whose slots share a variance permutes
+    its slots (the first block varies slowest, ``anti`` signed), then the
+    derivative indices permute.  Built once per shape; a shape with more
+    than ``SEARCH_CAP`` arrangements raises ``CanformSizeError`` unbuilt."""
+    shape = (session.blocks_for(f.name), f.variance_pattern(), len(f.derivs))
+    table = _TABLES.get(shape)
+    if table is not None:
+        return table
+    rank, n_derivs = len(f.slots), len(f.derivs)
+    blocks = [b for b in shape[0] if all(p < rank for p in b.positions)
+              and len({f.slots[p][1] for p in b.positions}) == 1]
+    size = prod(factorial(len(b.positions)) for b in blocks) * factorial(n_derivs)
+    if size > SEARCH_CAP:
+        raise CanformSizeError(f"a factor has {size} arrangements, over {SEARCH_CAP}")
+    block_perms = [list(permutations(range(len(b.positions)))) for b in blocks]
+    table = []
+    for *perms, derivs in product(*block_perms,
+                                  permutations(range(rank, rank + n_derivs))):
+        order = list(range(rank))
+        sign = 1
+        for block, perm in zip(blocks, perms):
+            for pos, src in zip(block.positions, perm):
+                order[pos] = block.positions[src]
+            if block.kind == "anti":
+                sign *= _perm_sign(perm)
+        table.append((tuple(order) + derivs, sign))
+    table = _TABLES[shape] = tuple(table)
+    return table
+
+
+def _arranged(f: Factor, order) -> Factor:
+    """``f`` with its positions taken in ``order`` (an entry of its table)."""
+    pos = positions(f)
+    rank = len(f.slots)
+    return Factor(f.name, tuple([pos[i] for i in order[:rank]]),
+                  tuple([pos[i][0] for i in order[rank:]]))
+
+
 def arrangements(session: Session, f: FactorLike):
     """Yield the signed rearrangements of one factor, in a fixed order.
 
-    A plain factor permutes the labels of each declared block whose slots
-    share a variance (the first block varies slowest), then its derivative
-    indices.  An inert derivative takes each distinct order of its body
-    within the body's coarse groups, crossed with each body factor's.
+    A plain factor takes the signed position orders of its shape's table
+    (see ``_table``): label-free, computed once per factor shape.  An inert
+    derivative takes each distinct order of its body within the body's
+    coarse groups, crossed with each body factor's arrangements; a body
+    with more than ``SEARCH_CAP`` distinct orders raises ``CanformSizeError``
+    before any is listed.
     """
     if isinstance(f, InertDeriv):
         groups = _coarse_groups(f.factors)
-        for order in product(*(_listed(_distinct_orders(g)) for g in groups)):
+        size = prod(factorial(len(g)) // prod(factorial(g.count(h)) for h in set(g))
+                    for g in groups)
+        if size > SEARCH_CAP:
+            raise CanformSizeError(f"an inert body has {size} orders,"
+                                   f" over {SEARCH_CAP}")
+        for order in product(*map(_distinct_orders, groups)):
             body = [g for group in order for g in group]
             for combo in product(*(_listed(arrangements(session, g)) for g in body)):
                 sign = prod(s for _, s in combo)
                 yield InertDeriv(tuple(a for a, _ in combo), f.index), sign
         return
-    blocks = [b for b in session.blocks_for(f.name)
-              if all(p < f.rank for p in b.positions)
-              and len({f.slots[p][1] for p in b.positions}) == 1]
-    choices = [_listed(permutations(range(len(b.positions)))) for b in blocks]
-    for *perms, derivs in product(*choices, _listed(permutations(f.derivs))):
-        slots = list(f.slots)
-        sign = 1
-        for block, perm in zip(blocks, perms):
-            for pos, src in zip(block.positions, perm):
-                slots[pos] = (f.slots[block.positions[src]][0], f.slots[pos][1])
-            if block.kind == "anti":
-                sign *= _perm_sign(perm)
-        yield Factor(f.name, tuple(slots), derivs), sign
+    for order, sign in _table(session, f):
+        yield _arranged(f, order), sign
 
 
-def _position_keys(f: FactorLike, dummies, numbering: dict):
-    """``f``'s label keys after the dummies in ``numbering``; the ones it adds."""
-    keys = []
-    new: dict[str, int] = {}
-    for lbl, _ in positions(f):
-        if lbl in dummies:
-            n = numbering.get(lbl) or new.setdefault(lbl, len(numbering) + len(new) + 1)
-            keys.append((1, n, ""))  # label_sort_key of the renamed dummy
-        else:
-            keys.append(label_sort_key(lbl))
-    return tuple(keys), new
+def _position_keys(keys, order, numbering: dict):
+    """The label keys of the positions ``order`` takes from ``keys`` (a
+    label's key, or a dummy's label), each dummy keyed as its number in
+    ``numbering`` or, if new, the next one; the new dummies' keys."""
+    out = []
+    new: dict[str, tuple] = {}
+    for i in order:
+        k = keys[i]
+        if k.__class__ is str:  # label_sort_key of the renamed dummy
+            k = (numbering.get(k) or new.get(k)
+                 or new.setdefault(k, (1, len(numbering) + len(new) + 1, "")))
+        out.append(k)
+    return tuple(out), new
 
 
 def canonical_term(session: Session, t: Term):
     """The least rearrangement of one term: (its ``structural_key``, the
     canonical Term), or None when the term is identically zero.
 
-    Each position's factor shape is fixed, so keys compare label by label,
-    and a factor's keys depend only on the factors before it.  Each step
-    places an unplaced factor of the current coarse group, in one of its
-    ``arrangements``, numbers the dummies it meets first, and keeps only the
-    least choices.  Ties wait on a stack, searched depth first; a step whose
-    least keys exceed the best branch's is dropped.  Completed branches are
-    renamed by ``rename_term_dummies``.  One structure reached with both
-    signs makes the term its own negative.  Raises ``CanformSizeError``
-    after ``SEARCH_CAP`` weighed arrangements.
+    A term whose coarse groups each hold copies of one factor with a single
+    arrangement has no choice to make: its factors in coarse order, dummies
+    renamed, are canonical.  Otherwise, each position's factor shape is
+    fixed, so keys compare label by label, and a factor's keys depend only
+    on the factors before it.  Each step places an unplaced factor of the
+    current coarse group, in one of its ``arrangements``, numbers the
+    dummies it meets first, and keeps only the least choices.  A plain
+    factor is weighed by permuting its label keys, computed once per call,
+    with its table's position orders; only a kept choice becomes a Factor.
+    Ties wait on a stack, searched depth first; a step whose least keys
+    exceed the best branch's is dropped.  Completed branches are renamed by
+    ``rename_term_dummies``.  One structure reached with both signs makes
+    the term its own negative.  Raises ``CanformSizeError`` after
+    ``SEARCH_CAP`` weighed arrangements.
     """
-    dummies = frozenset(t.indices.dummies)
     groups = _coarse_groups(t.factors)
-    group_at = dict(zip(accumulate(map(len, groups), initial=0), groups))
+    ids = {f: i for i, f in enumerate(dict.fromkeys(t.factors))}
+    tables = [_table(session, f) if f.__class__ is Factor else () for f in ids]
+    if all(len(tables[ids[g[0]]]) == 1 and g.count(g[0]) == len(g) for g in groups):
+        placed = tuple([f for g in groups for f in g])
+        canon = rename_term_dummies(t if placed == t.factors else Term(t.coeff, placed))
+        return structural_key(canon), canon
+    dummies = frozenset(t.indices.dummies)
+    label_keys = {lbl: lbl if lbl in dummies else label_sort_key(lbl)
+                  for lbl in t.indices.variances}
+    # each distinct factor's choices: (label keys, signed position orders,
+    # the factor-like those orders rearrange)
+    choices = []
+    for f, table in zip(ids, tables):
+        if f.__class__ is Factor:
+            choices.append((([label_keys[lbl] for lbl, _ in positions(f)], table, f),))
+        else:
+            choices.append([([label_keys[lbl] for lbl, _ in pos],
+                              ((range(len(pos)), s),), arranged)
+                             for arranged, s in _listed(arrangements(session, f))
+                             for pos in (positions(arranged),)])
+    group_at = dict(zip(accumulate(map(len, groups), initial=0),
+                        [tuple([ids[f] for f in g]) for g in groups]))
     best: list[tuple] = []  # the least keys of each position so far
     found: dict[int, Term] = {}  # the first renamed leaf of each sign
     work = 0
-    # (placed factors, unplaced factors of their group, numbering, sign)
+    # (placed factors, ids of the unplaced factors of their group,
+    # dummy label -> its key, sign)
     stack = [((), (), {}, 1)]
     while stack:
         placed, remaining, numbering, sign = stack.pop()
@@ -320,28 +396,32 @@ def canonical_term(session: Session, t: Term):
             continue
         remaining = remaining or group_at[depth]
         least, ties = None, []
-        for f in dict.fromkeys(remaining):  # identical factors: one branch
-            for arranged, s in arrangements(session, f):
-                work += 1
-                if work > SEARCH_CAP:
-                    raise CanformSizeError(f"canonicalizing a term of {len(t.factors)}"
-                                           f" factors takes over {SEARCH_CAP} steps")
-                keys, new = _position_keys(arranged, dummies, numbering)
-                if least is None or keys < least:
-                    least, ties = keys, []
-                if keys == least:
-                    ties.append((f, arranged, s, new))
+        for i in dict.fromkeys(remaining):  # identical factors: one branch
+            for keys, table, base in choices[i]:
+                for order, s in table:
+                    work += 1
+                    if work > SEARCH_CAP:
+                        raise CanformSizeError(
+                            f"canonicalizing a term of {len(t.factors)}"
+                            f" factors takes over {SEARCH_CAP} steps")
+                    weighed, new = _position_keys(keys, order, numbering)
+                    if least is None or weighed < least:
+                        least, ties = weighed, []
+                    if weighed == least:
+                        ties.append((i, base, table, order, s, new))
         if depth < len(best) and least > best[depth]:
             continue
         if depth == len(best) or least < best[depth]:
             del best[depth:]
             best.append(least)
             found.clear()
-        for f, arranged, s, new in reversed(ties):
+        for i, base, table, order, s, new in reversed(ties):
             child = numbering if len(ties) == 1 else dict(numbering)
             child.update(new)
             rest = list(remaining)
-            rest.remove(f)
+            rest.remove(i)
+            # a table's first order leaves the factor as it is
+            arranged = base if order is table[0][0] else _arranged(base, order)
             stack.append((placed + (arranged,), tuple(rest), child, sign * s))
     (canon,) = found.values()
     return structural_key(canon), canon

@@ -16,7 +16,8 @@ whose fields are never assigned after ``__init__``.  A term's index structure
 (its labels with their variances, its dummy pairs, its free indices and its
 highest generated dummy) is therefore computed once, by one walk of its
 ``positions`` (the one order of index positions), on first use of
-``Term.indices``, and kept in a slot outside equality, hashing and ``repr``.
+``Term.indices``, and kept in a slot outside equality, hashing and ``repr``;
+its ``structural_key`` is kept the same way, on first use.
 """
 
 from __future__ import annotations
@@ -181,10 +182,11 @@ class Term:
     """A rational coefficient times a tuple of factors.  Its ``repr``
     writes the coefficient as a Fraction, whether it is held as one or not."""
 
-    __slots__ = ("coeff", "factors", "_indices")
+    __slots__ = ("coeff", "factors", "_indices", "_key")
 
     def __init__(self, coeff, factors: tuple[FactorLike, ...] = ()):
-        self.coeff, self.factors, self._indices = coeff, factors, None
+        self.coeff, self.factors = coeff, factors
+        self._indices = self._key = None
 
     @property
     def indices(self) -> IndexSummary:
@@ -466,7 +468,10 @@ def structural_key(obj):
             label_sort_key(obj.index),
         )
     if isinstance(obj, Term):
-        return tuple(structural_key(f) for f in obj.factors)
+        key = obj._key
+        if key is None:
+            key = obj._key = tuple(structural_key(f) for f in obj.factors)
+        return key
     if isinstance(obj, Expression):
         return tuple((structural_key(t), t.coeff) for t in obj.terms)
     raise TypeError(f"no structural key for {type(obj).__name__}")

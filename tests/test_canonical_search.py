@@ -1,10 +1,12 @@
-"""The depth-first canonicalizer against the orbit enumeration it replaced
-(``orbit_reference``) and against sympy's ``canon_bp``; its size and depth
+"""The depth-first canonicalizer and its no-choice fast path against the
+orbit enumeration it replaced (``orbit_reference``) and against sympy's
+``canon_bp``; its arrangement tables; its size and depth
 guards; rule matching in the enumeration's order; and the open
 mixed-variance defect, pinned."""
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,7 +15,15 @@ import pytest
 from indicial import Session, algebra
 from indicial.algebra import SEARCH_CAP, canform, canonical_term, contract, decsym
 from indicial.errors import CanformSizeError, ValidationError
-from indicial.exprs import Expression, InertDeriv, Term, fac, structural_key, validate
+from indicial.exprs import (
+    Expression,
+    Factor,
+    InertDeriv,
+    Term,
+    fac,
+    structural_key,
+    validate,
+)
 from indicial.numeval import DEFAULT_POOL, random_expression
 from indicial.printing import render_plain
 from indicial.rules import (
@@ -142,7 +152,82 @@ def test_search_weighs_few_arrangements(field_session, monkeypatch):
 
     monkeypatch.setattr(algebra, "_position_keys", counting)
     canonical_term(field_session, mixed_chain(random.Random(8), 8))
-    assert len(weighed) < 500  # the orbit has 8! = 40,320 points
+    assert 0 < len(weighed) < 500  # the orbit has 8! = 40,320 points
+
+
+def no_choice_term(rng: random.Random) -> Term:
+    """Distinct names, each with at most one derivative index, the declared
+    ``A`` and ``B`` only in mixed variance (their blocks do not apply), some
+    slots paired into dummies and the rest free, times ``phi^k``."""
+    names = rng.sample(["A", "B", "P", "Q", "U", "V", "W"], rng.randint(1, 5))
+    shapes = []
+    for name in names:
+        if name in "AB":
+            ups = [False, True]
+            rng.shuffle(ups)
+        else:
+            ups = [rng.random() < 0.5 for _ in range(rng.randint(0, 3))]
+        shapes.append((name, ups, rng.random() < 0.4))
+    sites = [(k, p, up) for k, (_, ups, deriv) in enumerate(shapes)
+             for p, up in enumerate(ups + [False] * deriv)]
+    rng.shuffle(sites)
+    labels = {}
+    count = 0
+    for i, (k, p, up) in enumerate(sites):
+        if (k, p) in labels:
+            continue
+        partner = next(((k2, p2) for k2, p2, up2 in sites[i + 1:]
+                        if k2 != k and up2 != up and (k2, p2) not in labels), None)
+        labels[k, p] = f"{'mnpqrs'[count % 6]}{count}"
+        if partner is not None and rng.random() < 0.6:
+            labels[partner] = labels[k, p]  # a dummy pair
+        count += 1
+    factors = []
+    for k, (name, ups, deriv) in enumerate(shapes):
+        slots = tuple((labels[k, p], up) for p, up in enumerate(ups))
+        derivs = (labels[k, len(ups)],) if deriv else ()
+        factors.append(Factor(name, slots, derivs))
+    factors += [fac("phi")] * rng.randint(0, 3)
+    rng.shuffle(factors)
+    return validate(Term(Fraction(rng.choice([-2, 1, 3])), tuple(factors)))
+
+
+def test_no_choice_terms_skip_the_search(monkeypatch):
+    """The fast path weighs nothing and agrees with the orbit enumeration;
+    a factor with two derivatives or with an applicable block still
+    searches."""
+    s = make_session(metric=True, symmetries=False)
+    decsym(s, "A", 2, 0, [("anti", "all")], [])
+    decsym(s, "B", 0, 2, [], [("sym", "all")])
+    weighed = []
+    original = algebra._position_keys
+
+    def counting(*args):
+        weighed.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_position_keys", counting)
+    rng = random.Random(14)
+    for _ in range(300):
+        t = no_choice_term(rng)
+        assert canonical_term(s, t) == reference_canonical_term(s, t), t
+    assert weighed == []
+    controls = ["P([a],[],b,c)*x([],[a])", "A([a,b],[])*x([],[a])*y([],[b])",
+                "B([],[a,b])*P([b],[],a)"]
+    for text in controls:
+        t = ev(text, s).terms[0]
+        del weighed[:]
+        assert canonical_term(s, t) == reference_canonical_term(s, t), text
+        assert weighed, text
+
+
+def test_a_table_is_shared_by_every_factor_of_one_shape(field_session):
+    s = field_session
+    f, g = fac("R", cov=("a", "b", "c", "d")), fac("R", cov=("p", "q", "r", "s"))
+    assert algebra._table(s, f) is algebra._table(s, g)
+    assert len(algebra._table(s, f)) == 4
+    mixed = Factor("R", (("a", False), ("b", True), ("c", False), ("d", False)))
+    assert len(algebra._table(s, mixed)) == 2  # the first block does not apply
 
 
 def test_identical_factors_are_placed_once(field_session):
@@ -256,6 +341,31 @@ def test_oversized_factors_are_refused_without_listing_them():
     assert canonical_term(s, Term(Fraction(1), (InertDeriv(long_body, "m"),)))
     phis = (fac("phi"),) * 12 + (fac("x", cov=("m",)),)
     assert canonical_term(s, Term(Fraction(1), (InertDeriv(phis, "n"),)))
+
+
+@pytest.mark.parametrize("inert", [False, True])
+def test_oversized_shape_is_refused_before_listing_it(inert):
+    """Two 7-slot ``sym`` blocks have 5040**2 arrangements, and an inert
+    body of twelve vectors 12! orders: refused from their count, before a
+    single one is built."""
+    s = Session()
+    decsym(s, "T", 14, 0, [("sym", list(range(1, 8))), ("sym", list(range(8, 15)))], [])
+    if inert:
+        vectors = tuple(fac("x", cov=(f"a{i}",)) for i in range(12))
+        t = Term(Fraction(1), (InertDeriv(vectors, "m"),))
+    else:
+        t = Term(Fraction(1), (fac("T", cov=[f"a{i}" for i in range(14)]),))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CanformSizeError):
+            canonical_term(s, t)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 2_000_000
 
 
 # --- rule matching ---------------------------------------------------------------

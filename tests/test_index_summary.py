@@ -17,6 +17,7 @@ from indicial.exprs import (
     map_labels,
     mul,
     positions,
+    structural_key,
 )
 from indicial.numeval import random_expression
 
@@ -94,6 +95,19 @@ def test_summary_is_invisible(session, walks):
     assert Term(summarized.coeff, summarized.factors) == summarized
     assert repr(summarized) == (f"Term(coeff={Fraction(t.coeff)!r}, "
                                 f"factors={t.factors!r})")
+
+
+def test_structural_key_is_kept_and_invisible(session):
+    (t,) = ev("2*T([a,c],[])*y([],[c])*'covdiff(x([b],[]), d)", session).terms
+    keyed, bare = Term(t.coeff, t.factors), Term(t.coeff, t.factors)
+    key = structural_key(keyed)
+    assert structural_key(keyed) is key  # kept on first use
+    assert key == structural_key(Term(7, t.factors))
+    # equality, hashing and repr do not see the kept key
+    assert keyed == bare
+    assert hash(keyed) == hash(bare)
+    assert repr(keyed) == repr(bare)
+    assert bare._key is None
 
 
 def reference_positions(f):
