@@ -10,6 +10,7 @@ from .errors import (
     IndicialError,
     ParseError,
     SemanticError,
+    ValidationError,
 )
 from .exprs import (
     Expression,
@@ -20,6 +21,7 @@ from .exprs import (
     neg,
     power,
     quotient,
+    rational,
     scalar,
     sub,
     validate,
@@ -407,6 +409,23 @@ class Evaluator:
         return Expression(tuple(terms))
 
     def _eval_product(self, node: Product) -> Expression:
+        """A product in one step when every operand is a number, a negated
+        number, or (not after a ``/``) a tensor literal with no component
+        definition and with the rank the session knows for its name, if
+        any: the numbers folded into one coefficient, the factors in source
+        order, validated once.  Every other product, and one of those whose
+        coefficient is zero, that divides by zero or whose one term does not
+        validate, folds left to right with one ``mul`` per operand.
+
+        Both build the same value: ``mul`` renames a dummy pair only where
+        its label meets the other operand, a third occurrence that the one
+        validation refuses.  The one step changes the session (the ranks of
+        its names) only once it has succeeded, so a fold that follows it
+        raises the same error at the same operand as it would alone.
+        """
+        value = self._product_in_one_step(node)
+        if value is not None:
+            return value
         value = self._expr_arg(node.operands[0])
         for op, operand in zip(node.ops, node.operands[1:]):
             right = self._expr_arg(operand)
@@ -420,6 +439,43 @@ class Evaluator:
                 raise SemanticError("division by zero")
             value = mul(value, scalar(quotient(1, q)))
         return value
+
+    def _product_in_one_step(self, node: Product) -> Expression | None:
+        """The value of ``node`` as one term, or None where ``_eval_product``
+        must fold it."""
+        session = self.session
+        arities, components = session.arities, session.components
+        coeff, factors = 1, []
+        for op, operand in zip(("*",) + node.ops, node.operands):
+            kind = operand.__class__
+            if kind is Num:
+                q = operand.value
+            elif kind is Unary and operand.operand.__class__ is Num:
+                q = -operand.operand.value
+            elif kind is Factor and op == "*":
+                if (operand.name in components
+                        or arities.get(operand.name, operand.rank) != operand.rank):
+                    return None
+                factors.append(operand)
+                continue
+            else:
+                return None
+            if op == "*":
+                coeff = rational(coeff * q)
+            elif q:
+                coeff = quotient(coeff, q)
+            else:
+                return None
+        if not coeff:
+            return None
+        try:
+            # the one check of the product's own ranks as well as its labels
+            t = validate(Term(coeff, tuple(factors)))
+        except ValidationError:
+            return None
+        for f in factors:
+            session.register_arity(f.name, f.rank)
+        return Expression((t,))
 
 
 def evaluate_expression(text: str, session: Session | None = None) -> Expression:

@@ -3,6 +3,7 @@ pairwise fold of binary ``add``, ``neg`` and ``mul``, which is what a
 left-deep chain of binary operators computes."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indicial import Session, evaluate_expression
-from indicial import cli, exprs
-from indicial.exprs import add, mul, neg, scalar
+from indicial import cli, exprs, rules
+from indicial.exprs import add, fac, mul, neg, scalar
 from indicial.parse import Product, Sum, parse_expression
 
 # Every product holds exactly one core, so a sum of them is valid unless an
@@ -23,6 +24,12 @@ CORES = [
     "S([a],[],d)*y([],[d])",
 ]
 PREFACTORS = ["w", "v", "2", "3", "(1/2)", "-w", "x([b],[])*y([],[b])"]
+# At the edges of a product built in one step: u([c],[c]) holds a dummy pair
+# of its own, which meets the dummy c of a core or of a second copy; u([a],[a])
+# puts the free index a three times in a product: mul renames either pair.
+# 0 makes a product zero, which mul no longer validates; -3 and (-2) are
+# negated numbers.
+EDGE_PREFACTORS = ["u([c],[c])", "u([a],[a])", "0", "(-2)", "-3"]
 # Each raises at a different stage: evaluating the atom, multiplying, or
 # adding to the running sum.
 ERROR_ATOMS = [
@@ -35,12 +42,13 @@ ERROR_ATOMS = [
 ]
 
 
-def random_sum(rng: random.Random, n: int, max_factors: int, error_rate: float):
+def random_sum(rng: random.Random, n: int, max_factors: int, error_rate: float,
+               prefactors=PREFACTORS):
     """Text of an n-operand sum, and its operands as
     [(sum op, [(product op, atom text), ...]), ...]."""
     operands = []
     for i in range(n):
-        atoms = [rng.choice(PREFACTORS)
+        atoms = [rng.choice(prefactors)
                  for _ in range(rng.randrange(max_factors))]
         atoms.insert(rng.randrange(len(atoms) + 1), rng.choice(CORES))
         if rng.random() < error_rate:
@@ -94,9 +102,12 @@ def outcome(thunk):
         return ("error", type(exc).__name__, str(exc))
 
 
-def fresh_session():
+def fresh_session(with_components=False):
     session = Session()
     session.set_metric("g")
+    if with_components:  # y^m is x^m u_n^n: the cores' y factors expand
+        definition = evaluate_expression("x([],[m])*u([n],[n])", session)
+        rules.components(session, fac("y", contra=("m",)), definition)
     return session
 
 
@@ -105,17 +116,47 @@ def fresh_session():
     max_factors=st.integers(1, 50),
     error_rate=st.sampled_from([0.0, 0.001, 0.02, 0.2]),
     seed=st.integers(0, 2**32 - 1),
+    with_components=st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
-def test_fold_matches_pairwise_binary_fold(n, max_factors, error_rate, seed):
+def test_fold_matches_pairwise_binary_fold(n, max_factors, error_rate, seed,
+                                           with_components):
     rng = random.Random(seed)
     # The reference re-validates its running sum at every operand, which is
     # quadratic: long products only in short sums keep an example quick.
     max_factors = max(1, min(max_factors, 1000 // n))
-    text, operands = random_sum(rng, n, max_factors, error_rate)
-    got = outcome(lambda: evaluate_expression(text, fresh_session()))
-    want = outcome(lambda: pairwise_fold(operands, fresh_session()))
+    text, operands = random_sum(rng, n, max_factors, error_rate,
+                                PREFACTORS + EDGE_PREFACTORS)
+    assert_fold_matches_pairwise(text, operands, with_components)
+
+
+def assert_fold_matches_pairwise(text, operands, with_components):
+    got_session = fresh_session(with_components)
+    want_session = fresh_session(with_components)
+    got = outcome(lambda: evaluate_expression(text, got_session))
+    want = outcome(lambda: pairwise_fold(operands, want_session))
     assert got == want
+    # the ranks registered, in registration order, whether it raised or not
+    assert list(got_session.arities.items()) == list(want_session.arities.items())
+
+
+@pytest.mark.parametrize("with_components", [False, True])
+@pytest.mark.parametrize("text", [
+    "0*x([a],[])",                  # zero: no term, and x's rank registered
+    "x([a],[])*0*y([a],[])",        # zero: mul no longer validates
+    "-3*u([c],[c])*x([c],[])",      # u's dummy pair renamed
+    "(-2)*u([a],[a])*x([a],[])/3",  # a three times, u's pair renamed
+    "T([a,c],[])*y([],[c])",        # y expands where it has components
+    "g([a],[])*x([],[a])",          # g has rank 2: ArityMismatchError
+    "x([a],[])*x([a,b],[])*y([],[b])",  # ArityMismatchError within
+    "2*x([a],[])/0",                # division by zero
+    "2*x([a],[])/y([],[b])",        # division by a tensor
+    "3/(-2)/4*(-2)",
+])
+def test_edge_products_match_pairwise_binary_fold(text, with_components):
+    parts = re.split(r"([*/])", text)
+    operands = [("+", [("*", parts[0]), *zip(parts[1::2], parts[2::2])])]
+    assert_fold_matches_pairwise(text, operands, with_components)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -158,3 +199,22 @@ def test_thousand_term_sum_validates_each_term_a_bounded_number_of_times(
     # factor literals, products and the sum each validate a term about
     # once; re-validating the running sum at every + would be ~n*n/2
     assert len(calls) < 12 * n
+
+
+def test_long_product_is_built_in_linear_time(monkeypatch):
+    n = 2000
+    atoms = [f"x([k{i}],[])" for i in range(n)]
+    text = "-3*" + "*".join(atoms) + "/2"
+    operands = [("+", [("*", "-3"), *[("*", a) for a in atoms], ("/", "2")])]
+    want = pairwise_fold(operands, fresh_session())
+    walked = []
+    original = exprs._summarize
+
+    def counting(factors):
+        walked.append(len(factors))
+        return original(factors)
+
+    monkeypatch.setattr(exprs, "_summarize", counting)
+    assert evaluate_expression(text, fresh_session()) == want
+    # a fold re-walks its growing term at every factor: about n*n/2
+    assert sum(walked) < 10 * n
