@@ -76,6 +76,10 @@ class CanformSizeError(SemanticError):
     pass
 
 
+class ProductSizeError(SemanticError):
+    pass
+
+
 class HistoryError(SemanticError):
     pass
 

@@ -15,9 +15,10 @@ All of these objects are immutable: named tuples, or ``__slots__`` classes
 whose fields are never assigned after ``__init__``.  A term's index structure
 (its labels with their variances, its dummy pairs, its free indices and its
 highest generated dummy) is therefore computed once, by one walk of its
-``positions`` (the one order of index positions), on first use of
-``Term.indices``, and kept in a slot outside equality, hashing and ``repr``;
-its ``structural_key`` is kept the same way, on first use.
+``positions`` (the one order of index positions) on first use of
+``Term.indices`` or by the ``RunningProduct`` that built the term, and kept in
+a slot outside equality, hashing and ``repr``; its ``structural_key`` is kept
+the same way, on first use.  Every product is built by one ``RunningProduct``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Iterator, NamedTuple, Union
 from .errors import (
     ArityMismatchError,
     MixedFreeIndicesError,
+    ProductSizeError,
     TripleIndexError,
-    ValidationError,
     VarianceClashError,
 )
 
@@ -45,6 +46,11 @@ CHRISTOFFEL = "ichr2"
 # many statements build them; deeper input is refused long before the
 # interpreter's recursion limit.
 MAX_DEPTH = 100
+
+# The most terms and factors one product may build, each term and each of its
+# factors counted once: five times x^20000 (20,001), and refused long before
+# (x+y)^24 would build its 16.8M terms.
+PRODUCT_CAP = 100_000
 
 
 def is_dummy_label(label: str) -> bool:
@@ -165,6 +171,11 @@ def _summarize(factors) -> IndexSummary:
                 variances[lbl] = [up]
             else:
                 ups.append(up)
+    return _summary(variances)
+
+
+def _summary(variances: dict[str, list[bool]]) -> IndexSummary:
+    """The ``IndexSummary`` of a term whose labels have these ``up`` flags."""
     dummies, free, top = [], [], 0
     for lbl, ups in variances.items():
         n = len(ups)
@@ -172,7 +183,7 @@ def _summarize(factors) -> IndexSummary:
             free.append((lbl, ups[0]))
         elif n == 2:
             dummies.append(lbl)
-        if is_dummy_label(lbl):
+        if lbl[:1] == DUMMY_PREFIX:
             top = max(top, int(lbl[1:]))
     # tuple.__new__ skips the Python-level IndexSummary.__new__
     return tuple.__new__(IndexSummary, (variances, tuple(dummies), frozenset(free), top))
@@ -184,9 +195,9 @@ class Term:
 
     __slots__ = ("coeff", "factors", "_indices", "_key")
 
-    def __init__(self, coeff, factors: tuple[FactorLike, ...] = ()):
-        self.coeff, self.factors = coeff, factors
-        self._indices = self._key = None
+    def __init__(self, coeff, factors: tuple[FactorLike, ...] = (), indices=None):
+        self.coeff, self.factors, self._indices = coeff, factors, indices
+        self._key = None
 
     @property
     def indices(self) -> IndexSummary:
@@ -254,9 +265,6 @@ def scalar(value) -> Expression:
     if value == 0:
         return ZERO
     return Expression((Term(value),))
-
-
-ONE = scalar(1)
 
 
 def map_labels(obj, mapping: dict[str, str]):
@@ -347,14 +355,10 @@ def rename_dummies(expr: Expression) -> Expression:
     return Expression(tuple(rename_term_dummies(t) for t in expr.terms))
 
 
-def _rename_colliding_dummies(t: Term, avoid, floor: int) -> dict[str, str]:
-    """Fresh generated labels above ``floor`` for those dummy pairs of ``t``
-    whose labels occur in ``avoid``, in label order, as a label mapping.
-    ``floor`` must be at least every generated label of ``t`` and of
-    ``avoid``."""
-    colliding = [lbl for lbl in t.indices.dummies if lbl in avoid]
-    colliding.sort(key=label_sort_key)
-    return {lbl: dummy_label(n) for n, lbl in enumerate(colliding, floor + 1)}
+def _fresh_labels(labels, floor: int) -> dict[str, str]:
+    """``labels``, in label order, to the generated labels above ``floor``."""
+    labels = sorted(labels, key=label_sort_key)
+    return {lbl: dummy_label(n) for n, lbl in enumerate(labels, floor + 1)}
 
 
 def freshen(t: Term, labels) -> Term:
@@ -362,10 +366,9 @@ def freshen(t: Term, labels) -> Term:
     pairs that clash with them renamed to generated labels above every
     generated label of ``t`` and of ``labels``; ``t`` itself when none
     clash."""
-    if not any(lbl in labels for lbl in t.indices.dummies):
-        return t
-    floor = max(t.indices.top, *map(dummy_number, labels))
-    return map_labels(t, _rename_colliding_dummies(t, labels, floor))
+    clashing = [lbl for lbl in t.indices.dummies if lbl in labels]
+    floor = max([t.indices.top, *map(dummy_number, labels)])
+    return map_labels(t, _fresh_labels(clashing, floor)) if clashing else t
 
 
 def extend_sum(terms: list[Term], new_terms) -> None:
@@ -390,7 +393,7 @@ def scale(expr: Expression, factor) -> Expression:
     factor = rational(factor)
     if factor == 0:
         return ZERO
-    return Expression(tuple(Term(rational(t.coeff * factor), t.factors)
+    return Expression(tuple(Term(rational(t.coeff * factor), t.factors, t._indices)
                             for t in expr.terms))
 
 
@@ -402,49 +405,113 @@ def sub(e1: Expression, e2: Expression) -> Expression:
     return add(e1, neg(e2))
 
 
-def mul(e1: Expression, e2: Expression) -> Expression:
-    """Distributed product with per-copy dummy freshening.
+class RunningProduct:
+    """A product built one operand at a time, the counterpart of
+    ``extend_sum``: each partial term keeps its labels' up flags and its
+    names' ranks, so an operand costs its own size, not the product's.  A sum
+    distributes, partial terms outer.  A dummy pair is renamed only where its
+    label meets the other side: the operand term's first, then the partial
+    term's, each in label order above the highest generated label in reach."""
 
-    A dummy pair internal to one operand is renamed only when its label also
-    occurs in the other operand, so repeated labels across the operands can
-    only be deliberate free-index contractions and products of already
-    collision-free terms keep their labels.
-    """
-    floor = None  # the highest generated label in reach, once a dummy needs it
-    out: list[Term] = []
-    for t1 in e1.terms:
-        s1 = t1.indices
-        for t2 in e2.terms:
-            if not (coeff := rational(t1.coeff * t2.coeff)):
-                continue
-            a, b = t1, t2
-            s2 = t2.indices
-            if s1.dummies or s2.dummies:
-                if floor is None:
-                    floor = max(t.indices.top for e in (e1, e2) for t in e.terms)
-                renamed2 = _rename_colliding_dummies(t2, s1.variances, floor)
-                # t1's dummies may meet the labels of t2 that were not renamed;
-                # the fresh labels lie above all of t1's
-                labels2 = s2.variances
-                renamed1 = _rename_colliding_dummies(
-                    t1, labels2.keys() - renamed2 if renamed2 else labels2,
-                    floor + len(renamed2),
-                )
-                a = map_labels(t1, renamed1) if renamed1 else t1
-                b = map_labels(t2, renamed2) if renamed2 else t2
-            out.append(validate(Term(coeff, a.factors + b.factors)))
-    result = Expression(tuple(out))
-    free_indices(result)
-    return result
+    __slots__ = ("partials",)
+
+    def __init__(self, *sums):
+        self.partials = [[1, [], {}, {}]]  # coefficient, factors, variances, ranks
+        for terms in sums:
+            self.times(terms)
+
+    def times_number(self, q, divide=False) -> None:
+        self.partials = self.partials if q else []
+        for p in self.partials:
+            p[0] = quotient(p[0], q) if divide else rational(p[0] * q)
+
+    def times_factor(self, f: Factor) -> None:
+        """Multiply by a tensor literal, with no ``Term`` built unless need be."""
+        partials = self.partials
+        if not (len(partials) == 1 and len(partials[0][1]) < PRODUCT_CAP
+                and self._append(partials[0], (f,))):
+            self.times((validate(Term(1, (f,))),))
+
+    def times(self, terms) -> None:
+        """Multiply by the sum of ``terms``."""
+        partials, top, out = self.partials, None, []
+        _check_size(len(terms) * sum([1 + len(p[1]) for p in partials])
+                    + len(partials) * sum([len(t.factors) for t in terms]))
+        for p in partials:
+            for t in terms:
+                a, b = p[0], t.coeff
+                if not (c := b if a == 1 else a if b == 1 else rational(a * b)):
+                    continue
+                q = [c, p[1][:], p[2].copy(), p[3].copy()] if len(terms) > 1 else p
+                q[0], factors = c, t.factors
+                if not self._append(q, factors):
+                    if top is None:  # the highest generated label in reach
+                        top = max([dummy_number(lbl) for r in partials for lbl in r[2]]
+                                  + [t.indices.top for t in terms])
+                    v, known = t.indices.variances, q[2]
+                    met = [lbl for lbl in v if lbl in known]
+                    mine = _fresh_labels([lbl for lbl in met if len(v[lbl]) == 2], top)
+                    theirs = _fresh_labels([lbl for lbl in met if len(known[lbl]) == 2
+                                            and lbl not in mine], top + len(mine))
+                    factors = tuple([map_labels(f, mine) for f in factors])
+                    if theirs:  # the one case that walks the partial term again
+                        old, q[1], q[2] = q[1], [], {}
+                        self._append(q, [map_labels(f, theirs) for f in old])
+                    if not self._append(q, factors):
+                        validate(Term(c, tuple(q[1]) + factors))
+                out.append(q)
+        self.partials = out
+
+    def _append(self, p, factors) -> bool:
+        """Append ``factors`` to the partial term ``p``, checking only their
+        ranks and labels; or return False, ``p``'s labels as they were."""
+        known, ranks = p[2], p[3]
+        for f in factors:
+            for g in (f,) if f.__class__ is Factor else walk_factors(f):
+                if ranks.setdefault(g.name, len(g.slots)) != len(g.slots):
+                    return False
+        for f in factors:
+            pos = f.slots if f.__class__ is Factor and not f.derivs else positions(f)
+            for lbl, up in pos:
+                ups = known.get(lbl)
+                if ups is None:
+                    known[lbl] = [up]
+                elif len(ups) == 1 and ups[0] != up:
+                    known[lbl] = [ups[0], up]
+                else:  # it meets a dummy pair or breaks a rule: walk p again
+                    p[2] = _summarize(p[1]).variances
+                    return False
+        p[1].extend(factors)
+        return True
+
+    def expression(self) -> Expression:
+        """The product, each term with its ``IndexSummary`` handed over."""
+        # tuple.__new__ skips the Python-level Expression.__new__
+        result = tuple.__new__(Expression, (tuple([
+            Term(c, tuple(fs), _summary(v)) for c, fs, v, _ in self.partials]),))
+        if len(result.terms) > 1:
+            free_indices(result)
+        return result
+
+
+def _check_size(size: int) -> None:
+    if size > PRODUCT_CAP:
+        raise ProductSizeError(
+            f"the product would build {size} terms and factors, over {PRODUCT_CAP}")
+
+
+def mul(e1: Expression, e2: Expression) -> Expression:
+    """The distributed product ``e1 * e2``, by one ``RunningProduct``."""
+    return RunningProduct(e1.terms, e2.terms).expression()
 
 
 def power(expr: Expression, n: int) -> Expression:
-    if n < 0:
-        raise ValidationError("negative exponents are not supported")
-    result = ONE
-    for _ in range(n):
-        result = mul(result, expr)
-    return result
+    """``expr`` to the ``n`` >= 0 (the evaluator refuses any other exponent), by
+    one ``RunningProduct``; refused before it is built past ``PRODUCT_CAP``."""
+    m, f = len(expr.terms), sum([len(t.factors) for t in expr.terms])
+    k = n if m < 2 else min(n, 64)  # past 64, a sum of two terms is over the cap
+    _check_size(max(n, m ** k + (k * m ** (k - 1) * f if k else 0)))
+    return RunningProduct(*[expr.terms] * n).expression()
 
 
 def structural_key(obj):

@@ -3,6 +3,7 @@ statement starts, exit statuses, and no raw tracebacks."""
 
 import io
 import sys
+import time
 
 import pytest
 
@@ -220,3 +221,18 @@ def test_repl_tokenizes_each_line_once(monkeypatch, capsys):
     assert len(texts) == 4 + 1 + 2 * 2  # the entry, then "y;" and "quit;"
     assert sum(map(len, texts[:5])) <= 2 * len(entry_text)
     assert texts[4] == entry_text
+
+
+@pytest.mark.parametrize("text, column", [
+    ("w: 2$\nw*x^100000000;", 1),      # one factor, 10^8 times
+    ("w: 2$\n  (x+y)^24;", 3),         # 2^24 terms of 24 factors
+    ("w: 2$\n" + "*".join(["(x+y)"] * 24) + ";", 1),  # the same, operand by operand
+])
+def test_oversized_product_is_refused_before_it_is_built(tmp_path, capsys, text, column):
+    """A product over ``PRODUCT_CAP`` exits 2 at its statement, in well under
+    the time it would take to build, instead of exhausting memory."""
+    start = time.perf_counter()
+    status, out, err = run_main(tmp_path, capsys, text)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err.startswith(f"line 2, column {column}: statement 2: ProductSizeError: ")

@@ -4,6 +4,8 @@ left-deep chain of binary operators computes."""
 
 import random
 import re
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,36 @@ def random_sum(rng: random.Random, n: int, max_factors: int, error_rate: float,
         product = factors[0][1] + "".join(f"{o}{a}" for o, a in factors[1:])
         text += product if i == 0 else f" {op} {product}"
     return text, operands
+
+
+@contextmanager
+def checked_summaries():
+    """Check every term a ``RunningProduct`` hands over, as it is handed
+    over: its summary must equal a fresh walk of its factors, labels in the
+    same order.  A stale or reordered summary would corrupt canform and
+    rules silently.  Yields the list of checked terms."""
+    checked, expression = [], exprs.RunningProduct.expression
+
+    def checking(product):
+        value = expression(product)
+        for t in value.terms:
+            fresh = exprs._summarize(t.factors)
+            assert t.indices == fresh, t
+            assert list(t.indices.variances.items()) == list(fresh.variances.items())
+            checked.append(t)
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exprs.RunningProduct, "expression", checking)
+        yield checked
+
+
+def test_handed_over_summaries_are_checked():
+    # u's pair meets the running c and is renamed; the sum distributes
+    text = "2*x([a],[])*y([],[c])*u([c],[c])*(y([],[a]) + z([],[a]))"
+    with checked_summaries() as checked:
+        value = evaluate_expression(text, fresh_session())
+    assert len(value.terms) == 2 and checked[-2:] == list(value.terms)
 
 
 def pairwise_fold(operands, session):
@@ -133,8 +165,9 @@ def test_fold_matches_pairwise_binary_fold(n, max_factors, error_rate, seed,
 def assert_fold_matches_pairwise(text, operands, with_components):
     got_session = fresh_session(with_components)
     want_session = fresh_session(with_components)
-    got = outcome(lambda: evaluate_expression(text, got_session))
-    want = outcome(lambda: pairwise_fold(operands, want_session))
+    with checked_summaries():
+        got = outcome(lambda: evaluate_expression(text, got_session))
+        want = outcome(lambda: pairwise_fold(operands, want_session))
     assert got == want
     # the ranks registered, in registration order, whether it raised or not
     assert list(got_session.arities.items()) == list(want_session.arities.items())
@@ -196,17 +229,16 @@ def test_thousand_term_sum_validates_each_term_a_bounded_number_of_times(
     monkeypatch.setattr(cli, "validate", counting)
     value = evaluate_expression(text, fresh_session())
     assert len(value.terms) == n
-    # factor literals, products and the sum each validate a term about
-    # once; re-validating the running sum at every + would be ~n*n/2
-    assert len(calls) < 12 * n
+    # the sum validates each term once, as it joins.  A product checks only
+    # its operands' labels and ranks and validates a tensor literal only
+    # where it cannot simply append it (a dummy pair meets, or the product
+    # has several terms); re-validating the running sum at every + would be
+    # ~n*n/2, and the products and the sum each validating a term ~2*n
+    assert n <= len(calls) < 1.25 * n
 
 
-def test_long_product_is_built_in_linear_time(monkeypatch):
-    n = 2000
-    atoms = [f"x([k{i}],[])" for i in range(n)]
-    text = "-3*" + "*".join(atoms) + "/2"
-    operands = [("+", [("*", "-3"), *[("*", a) for a in atoms], ("/", "2")])]
-    want = pairwise_fold(operands, fresh_session())
+def count_walked(monkeypatch):
+    """The factors each walk of a term's positions covers, one entry a walk."""
     walked = []
     original = exprs._summarize
 
@@ -215,6 +247,42 @@ def test_long_product_is_built_in_linear_time(monkeypatch):
         return original(factors)
 
     monkeypatch.setattr(exprs, "_summarize", counting)
+    return walked
+
+
+def test_long_product_is_built_in_linear_time(monkeypatch):
+    n = 2000
+    atoms = [f"x([k{i}],[])" for i in range(n)]
+    text = "-3*" + "*".join(atoms) + "/2"
+    operands = [("+", [("*", "-3"), *[("*", a) for a in atoms], ("/", "2")])]
+    want = pairwise_fold(operands, fresh_session())
+    walked = count_walked(monkeypatch)
     assert evaluate_expression(text, fresh_session()) == want
     # a fold re-walks its growing term at every factor: about n*n/2
     assert sum(walked) < 10 * n
+
+
+@pytest.mark.parametrize("atom", [
+    "w{i}",                       # bare names, each its own scalar factor
+    "canform(x([k{i}],[]))",      # calls
+    "(2*x([k{i}],[]))",           # parenthesized one-term products
+])
+def test_long_product_of_values_is_built_in_linear_time(monkeypatch, atom):
+    n = 2000
+    atoms = [atom.format(i=i) for i in range(n)]
+    operands = [("+", [("*", a) for a in atoms])]
+    want = pairwise_fold(operands, fresh_session())
+    walked = count_walked(monkeypatch)
+    assert evaluate_expression("*".join(atoms), fresh_session()) == want
+    # multiplying by an operand costs the operand's size; a fold that
+    # re-checks its growing term at every operand walks about n*n/2
+    assert sum(walked) < 10 * n
+
+
+def test_power_is_built_in_linear_time():
+    n = 20000
+    start = time.perf_counter()
+    value = evaluate_expression(f"x^{n}", fresh_session())
+    elapsed = time.perf_counter() - start
+    assert value == evaluate_expression("*".join(["x"] * n), fresh_session())
+    assert elapsed < 1.0
