@@ -183,7 +183,7 @@ def _summary(variances: dict[str, list[bool]]) -> IndexSummary:
             free.append((lbl, ups[0]))
         elif n == 2:
             dummies.append(lbl)
-        if lbl[:1] == DUMMY_PREFIX:
+        if is_dummy_label(lbl):
             top = max(top, int(lbl[1:]))
     # tuple.__new__ skips the Python-level IndexSummary.__new__
     return tuple.__new__(IndexSummary, (variances, tuple(dummies), frozenset(free), top))
@@ -366,9 +366,10 @@ def freshen(t: Term, labels) -> Term:
     pairs that clash with them renamed to generated labels above every
     generated label of ``t`` and of ``labels``; ``t`` itself when none
     clash."""
-    clashing = [lbl for lbl in t.indices.dummies if lbl in labels]
-    floor = max([t.indices.top, *map(dummy_number, labels)])
-    return map_labels(t, _fresh_labels(clashing, floor)) if clashing else t
+    if not (clashing := [lbl for lbl in t.indices.dummies if lbl in labels]):
+        return t
+    floor = max(t.indices.top, *map(dummy_number, labels))
+    return map_labels(t, _fresh_labels(clashing, floor))
 
 
 def extend_sum(terms: list[Term], new_terms) -> None:
@@ -406,12 +407,11 @@ def sub(e1: Expression, e2: Expression) -> Expression:
 
 
 class RunningProduct:
-    """A product built one operand at a time, the counterpart of
-    ``extend_sum``: each partial term keeps its labels' up flags and its
-    names' ranks, so an operand costs its own size, not the product's.  A sum
-    distributes, partial terms outer.  A dummy pair is renamed only where its
-    label meets the other side: the operand term's first, then the partial
-    term's, each in label order above the highest generated label in reach."""
+    """A product built one operand at a time, the counterpart of ``extend_sum``:
+    each partial term keeps its labels' up flags and its names' ranks, so an
+    operand costs its own size.  A sum distributes, partial terms outer.  Only
+    dummy pairs whose labels meet the other side are renamed, the operand
+    term's first, in label order above every generated label in reach."""
 
     __slots__ = ("partials",)
 
@@ -428,7 +428,7 @@ class RunningProduct:
     def times_factor(self, f: Factor) -> None:
         """Multiply by a tensor literal, with no ``Term`` built unless need be."""
         partials = self.partials
-        if not (len(partials) == 1 and len(partials[0][1]) < PRODUCT_CAP
+        if not (len(partials) == 1 and len(partials[0][1]) + 2 <= PRODUCT_CAP
                 and self._append(partials[0], (f,))):
             self.times((validate(Term(1, (f,))),))
 
@@ -507,10 +507,8 @@ def mul(e1: Expression, e2: Expression) -> Expression:
 
 def power(expr: Expression, n: int) -> Expression:
     """``expr`` to the ``n`` >= 0 (the evaluator refuses any other exponent), by
-    one ``RunningProduct``; refused before it is built past ``PRODUCT_CAP``."""
-    m, f = len(expr.terms), sum([len(t.factors) for t in expr.terms])
-    k = n if m < 2 else min(n, 64)  # past 64, a sum of two terms is over the cap
-    _check_size(max(n, m ** k + (k * m ** (k - 1) * f if k else 0)))
+    one ``RunningProduct``, which refuses it past ``PRODUCT_CAP``."""
+    _check_size(n)  # before a list of n operands is made
     return RunningProduct(*[expr.terms] * n).expression()
 
 

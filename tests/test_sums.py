@@ -1,6 +1,7 @@
 """N-ary sums and products: the evaluator's left-to-right fold against a
-pairwise fold of binary ``add``, ``neg`` and ``mul``, which is what a
-left-deep chain of binary operators computes."""
+pairwise fold of binary ``add``, ``neg`` and the reference ``mul`` that the
+running product replaced, which is what a left-deep chain of binary
+operators computes."""
 
 import random
 import re
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from indicial import Session, evaluate_expression
 from indicial import cli, exprs, rules
-from indicial.exprs import add, fac, mul, neg, scalar
+from indicial.exprs import add, fac, neg, scalar
 from indicial.parse import Product, Sum, parse_expression
+from mul_reference import reference_mul, reference_products
 
 # Every product holds exactly one core, so a sum of them is valid unless an
 # error atom slips in.  Cores carry the free index a (down) and some dummies.
@@ -103,13 +105,14 @@ def test_handed_over_summaries_are_checked():
 
 def pairwise_fold(operands, session):
     """The old evaluation order: each binary node evaluates its left side,
-    then its right side, then combines them."""
+    then its right side, then combines them, every product (inside the
+    atoms too) by the reference ``mul``."""
     def product(factors):
         value = evaluate_expression(factors[0][1], session)
         for op, atom in factors[1:]:
             right = evaluate_expression(atom, session)
             if op == "*":
-                value = mul(value, right)
+                value = reference_mul(value, right)
             else:
                 q = cli._as_rational(right)
                 if q is None:
@@ -117,13 +120,14 @@ def pairwise_fold(operands, session):
                         "division is only defined by rational scalars")
                 if q == 0:
                     raise cli.SemanticError("division by zero")
-                value = mul(value, scalar(Fraction(1) / q))
+                value = reference_mul(value, scalar(Fraction(1) / q))
         return value
 
-    total = product(operands[0][1])
-    for op, factors in operands[1:]:
-        right = product(factors)
-        total = add(total, right if op == "+" else neg(right))
+    with reference_products():
+        total = product(operands[0][1])
+        for op, factors in operands[1:]:
+            right = product(factors)
+            total = add(total, right if op == "+" else neg(right))
     return total
 
 
@@ -286,3 +290,35 @@ def test_power_is_built_in_linear_time():
     elapsed = time.perf_counter() - start
     assert value == evaluate_expression("*".join(["x"] * n), fresh_session())
     assert elapsed < 1.0
+
+
+# Z is a closed term whose dummy pairs c and d meet its own factors, so it
+# holds the generated labels %1 and %2: an operand with generated labels above
+# the running term's, and a running term with them.
+Z = "(u([c],[c])*v([d],[d])*x([c],[])*y([],[c])*x([d],[])*y([],[d]))"
+
+
+@pytest.mark.parametrize("with_components", [False, True])
+@pytest.mark.parametrize("text", [
+    "x^0",
+    "x^300",
+    "(2*x - w/3)^5",
+    "(x([a],[])*y([],[a]))^3",            # each copy's pair renamed
+    "(u([c],[c]) + x([b],[])*y([],[b]))^4",  # sums of terms with dummy pairs
+    "(T([a,c],[])*y([],[c]) + w*S([a],[]))^2",  # a free index: a four times
+    "(x([a],[]) + y([],[a]))^2",          # MixedFreeIndicesError in the sum
+    "y([],[m])^3",                        # y expands where it has components
+    f"x([c],[])*y([],[c])*{Z}",
+    f"{Z}*x([c],[])*y([],[c])*u([d],[d])",
+    f"{Z}^2*(w + {Z})",
+    f"(u([c],[c])*x([c],[]))^2",          # c free twice: VarianceClashError
+])
+def test_products_and_powers_match_reference(text, with_components):
+    got_session = fresh_session(with_components)
+    want_session = fresh_session(with_components)
+    with checked_summaries():
+        got = outcome(lambda: evaluate_expression(text, got_session))
+    with reference_products():
+        want = outcome(lambda: evaluate_expression(text, want_session))
+    assert got == want
+    assert list(got_session.arities.items()) == list(want_session.arities.items())
