@@ -14,6 +14,10 @@ permuting label keys with a table's orders.  A term with no choice to make
 (each coarse group holds copies of one factor with a one-entry table) skips
 the search.
 
+This module alone collects canonical terms (``CanonicalSum``, for ``canform``
+and ``rules.apply1``) and enumerates a declared symmetry (``_table``, for the
+canonicalizer and for ``numeval``'s random draws).
+
 Open limitation: the metric is not in the group.  No dummy pair swaps its
 upper and lower slots and a block of mixed variance is not applied, so the
 vanishing ``F_a^b F_b^c F_c^a`` (``F`` antisymmetric) stays non-zero.
@@ -21,6 +25,7 @@ vanishing ``F_a^b F_b^c F_c^a`` (``F`` antisymmetric) stays non-zero.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, islice, permutations, product
 from math import factorial, prod
@@ -34,6 +39,7 @@ from .exprs import (
     InertDeriv,
     KDELTA,
     Term,
+    ZERO,
     coarse_key,
     label_sort_key,
     map_labels,
@@ -427,6 +433,53 @@ def canonical_term(session: Session, t: Term):
     return structural_key(canon), canon
 
 
+class CanonicalSum:
+    """Canonical terms by structural key, the keys kept sorted: the one place
+    that collects canonical terms, for ``canform`` and each rewrite of
+    ``rules.apply1``, which starts from a canonical form (in key order)."""
+
+    def __init__(self, canonical: Expression = ZERO):
+        self.terms = {structural_key(t): t for t in canonical.terms}
+        self.keys = list(self.terms)
+
+    def expression(self) -> Expression:
+        return Expression(tuple([self.terms[k] for k in self.keys]))
+
+    def merge(self, terms, removed=()) -> bool:
+        """Add the canonical ``terms`` in place of the terms under the
+        ``removed`` keys: coefficients under one key are summed and a zero
+        sum drops its key.  Whether any coefficient changed."""
+        held = self.terms
+        fresh = not held  # canform: nothing to compare, its keys sorted once
+        before = dict(zip(removed, map(held.pop, removed)))  # key -> old term or None
+        summed = {}  # key -> its coefficient, once a term adds to a held one
+        for t in terms:
+            key = structural_key(t)
+            old = held.get(key)
+            if not fresh and key not in before:
+                before[key] = old
+            if old is None:
+                held[key] = t
+            else:
+                summed[key] = summed.get(key, old.coeff) + t.coeff
+        for key, coeff in summed.items():
+            old = held.pop(key)
+            if coeff:
+                held[key] = Term(rational(coeff), old.factors)
+        if fresh:
+            self.keys = sorted(held)
+            return bool(held)
+        changed = False
+        for key, old in before.items():
+            new = held.get(key)
+            if new is None and old is not None:
+                del self.keys[bisect_left(self.keys, key)]
+            elif new is not None and old is None:
+                insort(self.keys, key)
+            changed = changed or (new.coeff if new else 0) != (old.coeff if old else 0)
+        return changed
+
+
 def canform(session: Session, expr: Expression) -> Expression:
     """Canonical form: deterministic representative of the expression class
     under dummy relabeling, commuting partials, and declared symmetries.
@@ -434,20 +487,6 @@ def canform(session: Session, expr: Expression) -> Expression:
     Alpha-equivalent terms are collected and zero coefficients dropped, so
     canonical equality coincides with structural equality.
     """
-    buckets: dict = {}
-    for t in expr.terms:
-        result = canonical_term(session, t)
-        if result is None:
-            continue
-        key, canon = result
-        if key in buckets:
-            prev_coeff, prev = buckets[key]
-            buckets[key] = (prev_coeff + canon.coeff, prev)
-        else:
-            buckets[key] = (canon.coeff, canon)
-    terms = [
-        rep if coeff == rep.coeff else Term(rational(coeff), rep.factors)
-        for key, (coeff, rep) in sorted(buckets.items(), key=lambda kv: kv[0])
-        if coeff != 0
-    ]
-    return Expression(tuple(terms))
+    out = CanonicalSum()
+    out.merge(c[1] for t in expr.terms if (c := canonical_term(session, t)))
+    return out.expression()

@@ -3,22 +3,23 @@ small fixed dimension.
 
 Every tensor holds one base array in the fully covariant position, indexed by
 slot values and then derivative values; derivative components are independent
-first-order jet variables, symmetrized over the derivative axes because
-partials commute.  A contravariant occurrence contracts the base array with
-the inverse metric on that axis, which makes raising and lowering sound by
-construction.  Expressions containing inert covariant derivatives cannot be
-evaluated.
+first-order jet variables.  Random components carry the declared symmetry
+and commuting partials through ``algebra._table``, as ``canform`` does.  A
+contravariant occurrence contracts the base array with the inverse metric on
+that axis, which makes raising and lowering sound by construction.
+Expressions containing inert covariant derivatives cannot be evaluated.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import TYPE_CHECKING
 
+from .algebra import _table
 from .errors import InertOperatorError, SemanticError, UnboundNameError, ValidationError
 from .exprs import (
     DIM_SYMBOL,
     Expression,
+    Factor,
     InertDeriv,
     KDELTA,
     Term,
@@ -32,26 +33,6 @@ if TYPE_CHECKING:
 
 # numpy is imported inside the functions that use it, so that importing the
 # engine does not load it: only this oracle needs numpy.
-
-
-def _project_block(arr: np.ndarray, axes, anti: bool) -> np.ndarray:
-    """Average over permutations of the given axes, signed for anti blocks."""
-    import numpy as np
-
-    from .algebra import _perm_sign
-
-    total = np.zeros_like(arr)
-    count = 0
-    for perm in permutations(range(len(axes))):
-        order = list(range(arr.ndim))
-        for target, src in zip(axes, perm):
-            order[target] = axes[src]
-        contrib = np.transpose(arr, order)
-        if anti:
-            contrib = contrib * _perm_sign(perm)
-        total = total + contrib
-        count += 1
-    return total / count
 
 
 class ComponentAssignment:
@@ -191,10 +172,12 @@ def random_assignment(session: Session, exprs, dim: int = 2, seed: int = 0,
     """Draw components consistent with the session's declarations.
 
     The metric is a random symmetric positive definite matrix so its inverse
-    is exact; declared symmetry blocks are projected onto the random draws,
-    and derivative axes are symmetrized.  When ``field_strength=(F, A)`` is
-    given, F's base components are assembled as the curl of A's jet so rules
-    relating the two are numerically sound.
+    is exact; each tensor is drawn as the average of a random array over the
+    signed position orders of its fully covariant shape (``algebra._table``),
+    so it carries its declared symmetry and its derivative axes commute.
+    When ``field_strength=(F, A)`` is given, F's base components are
+    assembled as the curl of A's jet so rules relating the two are
+    numerically sound.
     """
     import numpy as np
 
@@ -210,11 +193,8 @@ def random_assignment(session: Session, exprs, dim: int = 2, seed: int = 0,
         if (name, rank, nderivs) in assignment.base:
             continue
         arr = rng.uniform(-1.5, 1.5, size=(dim,) * (rank + nderivs))
-        for block in session.blocks_for(name):
-            if all(p < rank for p in block.positions):
-                arr = _project_block(arr, list(block.positions), block.kind == "anti")
-        if nderivs >= 2:
-            arr = _project_block(arr, list(range(rank, rank + nderivs)), False)
+        table = _table(session, Factor(name, (("", False),) * rank, ("",) * nderivs))
+        arr = sum([sign * arr.transpose(order) for order, sign in table]) / len(table)
         assignment.set_array(name, rank, nderivs, arr)
     if field_strength is not None:
         f_name, a_name = field_strength
@@ -239,7 +219,7 @@ DEFAULT_POOL = (
 
 
 def _random_term(session: Session, rng, free, pool, max_factors: int):
-    from .exprs import Factor, Term, quotient, validate
+    from .exprs import quotient, validate
 
     for _ in range(200):
         count = int(rng.integers(2, max_factors + 1))

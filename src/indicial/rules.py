@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from itertools import permutations, product
 from math import prod
 
-from .algebra import arrangements, canform, canonical_term
+from .algebra import CanonicalSum, arrangements, canform, canonical_term
 from .errors import (
     IterationCapError,
+    ProductSizeError,
     SemanticError,
     SignatureMismatchError,
     UnboundMetavariableError,
     ValidationError,
 )
 from .exprs import (
+    PRODUCT_CAP,
     Expression,
     Factor,
     FactorLike,
@@ -25,7 +26,6 @@ from .exprs import (
     mul,
     positions,
     quotient,
-    rational,
     structural_key,
     validate,
     validate_expression,
@@ -62,8 +62,29 @@ def defrule(session: Session, name: str, pattern: Expression,
     return rule
 
 
+def _reaches(session: Session, signature: Factor, definition: Expression) -> bool:
+    """Whether substituting ``definition`` for ``signature``, and in turn the
+    active component definitions, reaches a factor ``signature`` matches: a
+    top-level factor with its name and variance pattern, as
+    ``calculus.expand_components`` matches."""
+    defs = {**session.components, signature.name: ComponentDef(signature, definition)}
+    stack, seen = [definition], set()
+    while stack:
+        for f in [f for t in stack.pop().terms for f in t.factors]:
+            cdef = defs.get(f.name) if f.__class__ is Factor else None
+            if (cdef is not None and f.name not in seen
+                    and f.variance_pattern() == cdef.signature.variance_pattern()):
+                if f.name == signature.name:
+                    return True
+                seen.add(f.name)
+                stack.append(cdef.definition)
+    return False
+
+
 def components(session: Session, signature: Factor, definition: Expression) -> None:
-    """Attach a defining expression to a tensor name and slot signature."""
+    """Attach a defining expression to a tensor name and slot signature.  A
+    definition whose substitution would reach a factor it substitutes again
+    is refused, so that expanding components always ends."""
     if signature.derivs:
         raise SignatureMismatchError("component signatures take no derivative slots")
     sig_slots = frozenset(signature.slots)
@@ -74,6 +95,9 @@ def components(session: Session, signature: Factor, definition: Expression) -> N
         raise SignatureMismatchError(
             "free indices of the definition must match the signature slots"
         )
+    if _reaches(session, signature, definition):
+        raise SemanticError(f"the definition of {signature.name!r} reaches"
+                            f" {signature.name!r} again: a cyclic definition")
     session.register_arity(signature.name, signature.rank)
     session.components[signature.name] = ComponentDef(signature, definition)
 
@@ -144,64 +168,17 @@ def _pattern_matches(t: Term, pattern_term: Term, variants, metavars):
             yield quotient(t.coeff, pattern_term.coeff * p_sign), binding, rest
 
 
-class _CanonicalSum:
-    """A canonical expression kept as structural key -> term, with the keys
-    in sorted order: the buckets ``canform`` collects.
-
-    A rewrite replaces the terms under one or two keys by the terms the rule
-    produces; only those go through ``canform`` and are merged.  This equals
-    canonicalizing the whole rewritten expression because ``canonical_term``
-    returns every canonical term unchanged.
-    """
-
-    def __init__(self, expr: Expression):
-        self.terms = {structural_key(t): t for t in expr.terms}
-        self.keys = list(self.terms)  # canform's output is sorted by key
-
-    def expression(self) -> Expression:
-        return Expression(tuple(self.terms[k] for k in self.keys))
-
-    def replace(self, session: Session, removed, produced: Expression) -> bool:
-        """Replace the terms under the ``removed`` keys by ``produced``, a
-        product from ``mul`` (valid terms that share their free indices).
-
-        Returns False and changes nothing when the canonical form stays the
-        same, or when the remaining terms have other free indices than the
-        produced ones, which would make the sum invalid.
-        """
-        kept = next((k for k in self.keys if k not in removed), None)
-        if (produced.terms and kept is not None
-                and produced.terms[0].indices.free != self.terms[kept].indices.free):
-            return False
-        updates = dict.fromkeys(removed)  # key -> its new term; None: no term
-        for t in canform(session, produced).terms:  # one term per key
-            key = structural_key(t)
-            old = None if key in updates else self.terms.get(key)
-            updates[key] = t if old is None else Term(rational(old.coeff + t.coeff),
-                                                      t.factors)
-        changed = False
-        for key, t in updates.items():
-            old = self.terms.get(key)
-            coeff = t.coeff if t is not None else 0
-            if coeff == (old.coeff if old is not None else 0):
-                continue
-            changed = True
-            if coeff == 0:
-                del self.terms[key]
-                del self.keys[bisect_left(self.keys, key)]
-            else:
-                if old is None:
-                    insort(self.keys, key)
-                self.terms[key] = t
-        return changed
-
-
-def _rewrite_once(session: Session, current: _CanonicalSum,
-                  rule: RewriteRule, variants) -> bool:
+def _rewrite_once(session: Session, current: CanonicalSum,
+                  rule: RewriteRule, variants) -> int | None:
     """Apply the first rewrite that changes the canonical form, scanning the
-    terms in canonical order; False when the rule is at a fixpoint."""
+    terms in canonical order: the terms and factors of the products built,
+    or None when the rule is at a fixpoint.  A rewrite merges the canonical
+    form of its product in place of the terms under one or two keys, which
+    equals canonicalizing the whole rewritten expression because
+    ``canonical_term`` returns canonical terms unchanged."""
     pattern = rule.pattern.terms
     p1 = pattern[0]
+    built = 0
     for key in current.keys:
         t = current.terms[key]
         for ratio, binding, rest in _pattern_matches(
@@ -233,13 +210,21 @@ def _rewrite_once(session: Session, current: _CanonicalSum,
                 )
             except ValidationError:
                 continue
-            if current.replace(session, removed, produced):
-                return True
-    return False
+            built += sum([1 + len(u.factors) for u in produced.terms])
+            # a product with other free indices would make the sum invalid
+            kept = next((k for k in current.keys if k not in removed), None)
+            if (produced.terms and kept is not None
+                    and produced.terms[0].indices.free
+                    != current.terms[kept].indices.free):
+                continue
+            if current.merge(canform(session, produced).terms, removed):
+                return built
+    return None
 
 
 def apply1(session: Session, expr: Expression, rule) -> Expression:
-    """Rewrite with one rule to a fixpoint (iteration cap 10000).
+    """Rewrite with one rule to a fixpoint (iteration cap 10000), building
+    at most ``PRODUCT_CAP`` terms and factors in the products of its rewrites.
 
     Matching operates on the canonical form: metavariables bind free or
     dummy indices position by position, respecting variance; two-term
@@ -250,9 +235,15 @@ def apply1(session: Session, expr: Expression, rule) -> Expression:
         if rule not in session.rules:
             raise SemanticError(f"no rule named {rule!r}")
         rule = session.rules[rule]
-    current = _CanonicalSum(canform(session, expr))
+    current = CanonicalSum(canform(session, expr))
     variants = _pattern_arrangements(session, rule.pattern.terms[0])
+    built = 0
     for _ in range(ITERATION_CAP):
-        if not _rewrite_once(session, current, rule, variants):
+        size = _rewrite_once(session, current, rule, variants)
+        if size is None:
             return current.expression()
+        built += size
+        if built > PRODUCT_CAP:
+            raise ProductSizeError(f"rule {rule.name!r} built over {PRODUCT_CAP}"
+                                   " terms and factors without reaching a fixpoint")
     raise IterationCapError(f"rule {rule.name!r} did not reach a fixpoint")

@@ -1,6 +1,7 @@
 """The incremental ``apply1`` against the whole-expression loop it replaced,
 which is kept here as the reference: every iteration rewrote one site and
-re-canonicalized the entire expression."""
+re-canonicalized the entire expression, collecting its terms with the bucket
+loop of ``canform_reference`` rather than ``algebra.CanonicalSum``."""
 
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from indicial.exprs import (
 from indicial.numeval import random_expression
 from indicial.rules import apply1, defrule, matchdeclare
 
+from canform_reference import reference_canform
 from conftest import ev, make_rng
 from orbit_reference import reference_matches as _reference_matches
 
@@ -67,7 +69,8 @@ def _reference_once(session, current, rule):
                     candidate = _reference_site(
                         current.terms, ti, ratio, binding, rest, rule, tj
                     )
-                    candidate = canform(session, validate_expression(candidate))
+                    candidate = reference_canform(session,
+                                                  validate_expression(candidate))
                 except ValidationError:
                     continue
                 if candidate != current:
@@ -77,7 +80,7 @@ def _reference_once(session, current, rule):
 
 def reference_apply1(session, expr, name):
     rule = session.rules[name]
-    current = canform(session, expr)
+    current = reference_canform(session, expr)
     for _ in range(rules.ITERATION_CAP):
         new = _reference_once(session, current, rule)
         if new is None:

@@ -3,16 +3,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from indicial.algebra import decsym
 from indicial.errors import InertOperatorError, SemanticError, UnboundNameError
 from indicial.exprs import DIM_SYMBOL, KDELTA, positions
 from indicial.numeval import (
     ComponentAssignment,
     assignment_from_fixture,
+    collect_shapes,
     numeric_eval,
     random_assignment,
     random_expression,
 )
 
+from canform_reference import reference_draw
 from conftest import ev, make_rng
 
 
@@ -274,3 +277,27 @@ def test_assigned_arrays_are_read_only_copies(session):
     a.set_array("x", 1, 0, source)
     source[0] = 2.0
     assert numeric_eval(ev("x([a],[])", session), a, {"a": 0}) == 1.0
+
+
+@pytest.mark.parametrize("declare, shapes", [
+    (lambda s: decsym(s, "S", 2, 0, [("sym", "all")], []), ["S([a,b],[])"]),
+    (lambda s: decsym(s, "T", 3, 0, [("anti", "all")], []), ["T([a,b,c],[])"]),
+    (lambda s: decsym(s, "R", 4, 0, [("anti", [1, 2]), ("anti", [3, 4])], []),
+     ["R([a,b,c,d],[])"]),
+    (lambda s: decsym(s, "U", 0, 3, [], [("sym", [1, 3])]), ["U([],[a,b,c])"]),
+    (lambda s: decsym(s, "F", 0, 2, [], [("anti", "all")]),
+     ["x([a],[],b,c)", "F([a,b],[],c,d)", "y([a],[],b,c,d)", "F([a,b],[],c,d,e)"]),
+])
+def test_draws_agree_with_the_block_projection(session, declare, shapes):
+    """Averaging over ``algebra._table`` draws what projecting one block at a
+    time, then the derivative axes, drew (``canform_reference``)."""
+    declare(session)
+    exprs = [ev(text, session) for text in shapes]
+    for dim, seed in ((3, 4), (4, 5)):
+        a = random_assignment(session, exprs, dim=dim, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.uniform(-1.0, 1.0, size=(dim, dim))  # the metric
+        for name, rank, nderivs in sorted(collect_shapes(exprs)):
+            raw = rng.uniform(-1.5, 1.5, size=(dim,) * (rank + nderivs))
+            want = reference_draw(session, name, rank, nderivs, raw)
+            assert np.max(np.abs(a.base[(name, rank, nderivs)] - want)) <= 1e-12

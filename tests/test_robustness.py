@@ -1,12 +1,16 @@
-"""Random three-statement scripts over every call builtin: each run ends
-with exit status 0, 1 or 2 (never 3, an internal error), and its transcript
-and diagnostics are the same under two hash seeds."""
+"""Random three-statement scripts over every call builtin and component
+definitions, some of them cyclic: each run ends with exit status 0, 1 or 2
+(never 3, an internal error), and its transcript and diagnostics are the
+same under two hash seeds.  A rule whose every rewrite builds a longer
+product ends in ``ProductSizeError``."""
 
+import io
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from indicial.cli import run_script
 from indicial.parse import BUILTINS, CALL
 
 from test_golden import run_python
@@ -73,7 +77,17 @@ def combine(children):
 
 
 expression = st.recursive(atom | closed, combine, max_leaves=5)
-statement = st.tuples(expression, st.sampled_from(["$", ";"])).map("".join)
+# component definitions of A_m or j_m, some reaching their own signature
+# directly or through the other one, which is refused
+definition = st.one_of(
+    st.sampled_from(["A([m],[])", "2*A([m],[])", "j([m],[])", "-j([m],[])/2",
+                     "A([],[n])*g([m,n],[])", "j([n],[],m,n)"]),
+    closed.map("j([m],[])*{}".format),
+)
+components = st.builds("components({}([m],[]),{})$".format,
+                       st.sampled_from(["A", "j"]), definition)
+plain = st.tuples(expression, st.sampled_from(["$", ";"])).map("".join)
+statement = st.one_of(plain, plain, plain, components)  # one in four defines
 script = st.lists(statement, min_size=3, max_size=3).map(
     lambda stmts: PREAMBLE + "\n".join(stmts) + "\n")
 
@@ -109,3 +123,28 @@ def test_random_scripts_end_cleanly_and_deterministically(tmp_path, scripts):
     for (status, _, err), text in zip(first, scripts):
         assert status in (0, 1, 2), (text, err)
     assert run_batch(paths, "1234") == first
+
+
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(factor=st.sampled_from(["phi", "psi", "2*psi", "phi*psi"]), subject=closed)
+def test_growing_rules_end_in_product_size_error(tmp_path, factor, subject):
+    path = tmp_path / "grow.ind"
+    path.write_text(PREAMBLE + f"defrule(Grow,phi,{factor}*phi)$\n"
+                    f"apply1(phi*{subject},Grow);\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_script(str(path), out=out, err=err) == 2
+    assert "ProductSizeError" in err.getvalue()
+
+
+def test_cyclic_definitions_end_in_semantic_error(tmp_path):
+    path = tmp_path / "cycle.ind"
+    for text, where in (
+            ("components(F([a],[]),F([a],[]))$ F([b],[]);\n", "line 1, column 1:"),
+            ("components(F([a],[]),G([a],[]))$\ncomponents(G([a],[]),F([a],[]))$\n"
+             "F([b],[]);\n", "line 2, column 1:")):
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert run_script(str(path), out=out, err=err) == 2
+        assert err.getvalue().startswith(where)
+        assert "SemanticError" in err.getvalue()

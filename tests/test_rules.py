@@ -5,6 +5,7 @@ from indicial.algebra import canform, decsym, expand
 from indicial.calculus import extdiff
 from indicial.errors import (
     IterationCapError,
+    ProductSizeError,
     SemanticError,
     SignatureMismatchError,
     UnboundMetavariableError,
@@ -111,6 +112,14 @@ def test_apply1_iteration_cap(session):
         apply1(session, ev("w", session), "flip")
 
 
+def test_apply1_stops_a_growing_rule(session):
+    # every rewrite builds a longer product: the budget stops it long before
+    # the iteration cap
+    defrule(session, "grow", ev("w", session), ev("w*w", session))
+    with pytest.raises(ProductSizeError, match="'grow' built over 100000"):
+        apply1(session, ev("w", session), "grow")
+
+
 def test_apply1_numerically_sound_for_curl_rule(maxwell_session):
     s = maxwell_session
     rests = [
@@ -175,6 +184,29 @@ def test_components_signature_mismatch(session):
         components(
             session, fac("F", cov=("m", "n")), ev("A([m],[],k)", session)
         )
+
+
+def test_components_refuses_a_cyclic_definition(session):
+    f_a, g_a = fac("F", cov=("a",)), fac("G", cov=("a",))
+    for definition in ("F([a],[])", "2*F([a],[])", "F([a],[],b)*x([],[b])"):
+        with pytest.raises(SemanticError, match="cyclic"):
+            components(session, f_a, ev(definition, session))
+    # the cycle F -> G -> H -> F, closed through the active definitions
+    components(session, f_a, ex(term(1, g_a)))
+    components(session, g_a, ev("H([a],[])", session))
+    with pytest.raises(SemanticError, match="cyclic"):
+        components(session, fac("H", cov=("a",)), ex(term(1, f_a)))
+    assert "H" not in session.components
+    assert ev("F([b],[])", session) == ev("H([b],[])", session)
+
+
+def test_components_accepts_chains_and_other_variances(session):
+    components(session, fac("A", cov=("a",)), ev("B([a],[])", session))
+    components(session, fac("B", cov=("a",)), ev("C([a],[])", session))
+    assert ev("A([b],[])", session) == ex(term(1, fac("C", cov=("b",))))
+    # F^b is not the covariant F_a that the definition substitutes
+    components(session, fac("F", cov=("a",)), ev("F([],[b])*g([a,b],[])", session))
+    assert ev("F([c],[])", session) == ev("F([],[b])*g([c,b],[])", session)
 
 
 def test_components_derivative_occurrence(session):
