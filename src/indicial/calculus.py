@@ -171,29 +171,10 @@ def _gamma_factor(i: str, low: str, high: str) -> Factor:
     return Factor(CHRISTOFFEL, ((i, False), (low, False), (high, True)))
 
 
-def covdiff(session: Session, expr: Expression, index: str,
-            mode: str = "inert") -> Expression:
-    """Covariant derivative.
-
-    Inert mode wraps each term's monomial without resolving the connection,
-    at most ``MAX_DEPTH`` wrappers deep; expanded mode produces the ordinary
-    derivative plus one connection correction per index position, with a
-    fresh dummy for each correction.
-    """
-    if mode == "inert":
-        if any(inert_depth(t.factors) >= MAX_DEPTH for t in expr.terms):
-            raise SemanticError(f"inert derivatives nested too deeply "
-                                f"(over {MAX_DEPTH} levels)")
-        out = [
-            Term(t.coeff, (InertDeriv(freshen(t, (index,)).factors, index),))
-            for t in expr.terms
-            if t.factors
-        ]
-        result = Expression(tuple(out))
-        validate_expression(result)
-        return result
-    if mode != "expanded":
-        raise SemanticError(f"unknown covdiff mode {mode!r}")
+def covdiff(session: Session, expr: Expression, index: str) -> Expression:
+    """Expanded covariant derivative: the ordinary derivative plus one
+    connection correction per index position, with a fresh dummy for each
+    correction.  ``mapcovdiff`` is the inert one."""
     if session.metric is None:
         raise NoMetricError("expanded covariant derivatives need a metric")
 
@@ -222,8 +203,18 @@ def covdiff(session: Session, expr: Expression, index: str,
 
 
 def mapcovdiff(session: Session, expr: Expression, index: str) -> Expression:
-    """Term-wise inert covariant derivative."""
-    return covdiff(session, expr, index, mode="inert")
+    """Term-wise inert covariant derivative: wraps each term's monomial
+    without resolving the connection, at most ``MAX_DEPTH`` wrappers deep."""
+    if any(inert_depth(t.factors) >= MAX_DEPTH for t in expr.terms):
+        raise SemanticError(f"inert derivatives nested too deeply "
+                            f"(over {MAX_DEPTH} levels)")
+    result = Expression(tuple(
+        Term(t.coeff, (InertDeriv(freshen(t, (index,)).factors, index),))
+        for t in expr.terms
+        if t.factors
+    ))
+    validate_expression(result)
+    return result
 
 
 def expand_christoffels(session: Session, expr: Expression) -> Expression:

@@ -247,8 +247,7 @@ class Evaluator:
 
     def _builtin_covdiff(self, expr, index):
         return calculus.covdiff(
-            self.session, self._expr_arg(expr), self._index_arg(index),
-            mode="expanded",
+            self.session, self._expr_arg(expr), self._index_arg(index)
         )
 
     def _builtin_extdiff(self, expr, index):
@@ -533,6 +532,12 @@ def repl(session: Session | None = None, fmt: str = "plain",
 
 def main(argv=None) -> int:
     import argparse  # here, so that importing the library does not load it
+    import signal
+
+    if argv is None and hasattr(signal, "SIGPIPE"):
+        # as the program, a closed stdout ends the run silently, as it ends
+        # cat; a caller that passes argv keeps its own process's handling
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
     parser = argparse.ArgumentParser(
         prog="indicial",

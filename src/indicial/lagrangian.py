@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import canform, contract, expand
-from .calculus import covdiff, fdiff, mapcovdiff
+from .calculus import fdiff, mapcovdiff
 from .errors import FreeIndexMismatchError, NonScalarLagrangianError, SemanticError
 from .exprs import (
     Expression,
@@ -64,7 +64,7 @@ def euler_lagrange(session: Session, lagrangian: Expression, field: Factor,
     t2 = canform(session, stage)
     trace.append(("gradient_derivative_simplified", t2))
 
-    divergence = covdiff(session, t2, deriv_index, mode="inert")
+    divergence = mapcovdiff(session, t2, deriv_index)
     trace.append(("divergence", divergence))
     lhs = canform(session, add(t1, neg(divergence)))
     trace.append(("equation", lhs))

@@ -1,151 +1,107 @@
-"""Renderers: the plain single-line form (re-parseable), LaTeX, and JSON."""
+"""Renderers: the plain single-line form (re-parseable), LaTeX, and JSON.
+
+Plain and LaTeX output share one walk: ``_render`` writes a sum and its
+terms, ``_factor`` a factor's slot runs and derivative indices, or an inert
+chain.  The two formats differ only in their row of spellings: the joins
+between factors and between labels, the parentheses around a multi-factor
+inert body, the separator before an index block, the coefficient writer,
+and where derivative indices go: into the last covariant block (plain
+``A_{l,k}``) or into a block of their own (LaTeX ``A_{l}{}_{,k}``).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exprs import Expression, Factor, FactorLike, InertDeriv, Term
+from .exprs import Expression, FactorLike, InertDeriv
 
 
-def _slot_runs(f: Factor):
-    """Consecutive same-variance slot groups, in slot order."""
-    runs: list[tuple[bool, list[str]]] = []
+def _latex_coeff(value) -> str:
+    n, d = value.numerator, value.denominator
+    return str(n) if d == 1 else rf"\frac{{{n}}}{{{d}}}"
+
+
+# factor join, label join, inert body's open and close, index block
+# separator, coefficient writer, derivatives join the last covariant block
+_PLAIN = ("*", " ", "(", ")", "", str, True)
+_LATEX = (r"\,", r"\,", r"\left(", r"\right)", "{}", _latex_coeff, False)
+
+
+def _factor(f: FactorLike, row) -> str:
+    """A factor's runs of same-variance slots, one index block each, and its
+    derivative indices; or an inert chain, whose directly nested derivatives
+    fold into one ``;`` block after the innermost body."""
+    times, space, open_, close, sep, _, merge = row
+    if f.__class__ is InertDeriv:
+        indices = [f.index]
+        inner = f.factors
+        while len(inner) == 1 and inner[0].__class__ is InertDeriv:
+            indices.append(inner[0].index)
+            inner = inner[0].factors
+        if len(inner) == 1:
+            body = _factor(inner[0], row)
+        else:
+            body = open_ + times.join([_factor(g, row) for g in inner]) + close
+        return body + sep + "_{;" + space.join(reversed(indices)) + "}"
+    runs = []  # opening and labels per run of same-variance slots
+    last = down = None  # down: the last covariant run
     for lbl, up in f.slots:
-        if runs and runs[-1][0] == up:
-            runs[-1][1].append(lbl)
+        if up == last:
+            runs[-1] += space + lbl
         else:
-            runs.append((up, [lbl]))
-    return runs
-
-
-def _inert_chain(f: InertDeriv):
-    """Unwrap directly nested inert derivatives: the indices, innermost
-    first, and the factors of the innermost body."""
-    indices = [f.index]
-    inner = f.factors
-    while len(inner) == 1 and isinstance(inner[0], InertDeriv):
-        indices.insert(0, inner[0].index)
-        inner = inner[0].factors
-    return indices, inner
-
-
-def render_factor(f: FactorLike) -> str:
-    if isinstance(f, InertDeriv):
-        indices, inner = _inert_chain(f)
-        if len(inner) == 1 and isinstance(inner[0], Factor):
-            body = render_factor(inner[0])
+            if not up:
+                down = len(runs)
+            runs.append(("^{" if up else "_{") + lbl)
+            last = up
+    tail = ""
+    if f.derivs:
+        derivs = "," + space.join(f.derivs)
+        if merge and down is not None:
+            runs[down] += derivs
         else:
-            body = "(" + "*".join(render_factor(g) for g in inner) + ")"
-        return body + "_{;" + " ".join(indices) + "}"
-    out = f.name
-    runs = _slot_runs(f)
-    last_down = max(
-        (i for i, (up, _) in enumerate(runs) if not up), default=None
-    )
-    for i, (up, labels) in enumerate(runs):
-        if up:
-            out += "^{" + " ".join(labels) + "}"
-        else:
-            block = " ".join(labels)
-            if i == last_down and f.derivs:
-                block += "," + " ".join(f.derivs)
-            out += "_{" + block + "}"
-    if f.derivs and last_down is None:
-        out += "_{," + " ".join(f.derivs) + "}"
-    return out
+            tail = sep + "_{" + derivs + "}"
+    if runs:
+        return f.name + ("}" + sep).join(runs) + "}" + tail
+    return f.name + tail
 
 
-def _render_coeff(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def render_term_body(t: Term) -> str:
-    magnitude = abs(t.coeff)
-    pieces = [render_factor(f) for f in t.factors]
-    if magnitude != 1 or not pieces:
-        pieces = [_render_coeff(magnitude)] + pieces
-    return "*".join(pieces)
+def _render(expr: Expression, row) -> str:
+    """A sum: each term's sign (but a leading ``+``), its coefficient's
+    magnitude unless that is 1 on a term with factors, and its factors."""
+    if not expr.terms:
+        return "0"
+    times, coeff = row[0], row[5]
+    parts = []
+    for t in expr.terms:
+        c = t.coeff
+        sign, magnitude = ("- ", -c) if c < 0 else ("+ ", c)
+        pieces = [_factor(f, row) for f in t.factors]
+        if magnitude != 1 or not pieces:
+            pieces.insert(0, coeff(magnitude))
+        parts.append(sign + times.join(pieces))
+    text = " ".join(parts)
+    return text if text[0] == "-" else text[2:]
 
 
 def render_plain(expr: Expression) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for i, t in enumerate(expr.terms):
-        body = render_term_body(t)
-        if i == 0:
-            parts.append(body if t.coeff >= 0 else "- " + body)
-        else:
-            parts.append(("+ " if t.coeff >= 0 else "- ") + body)
-    return " ".join(parts)
-
-
-def _latex_factor(f: FactorLike) -> str:
-    if isinstance(f, InertDeriv):
-        indices, inner = _inert_chain(f)
-        if len(inner) == 1 and isinstance(inner[0], Factor):
-            body = _latex_factor(inner[0])
-        else:
-            body = r"\left(" + r"\,".join(_latex_factor(g) for g in inner) + r"\right)"
-        return body + "{}_{;" + r"\,".join(indices) + "}"
-    out = f.name
-    for i, (up, labels) in enumerate(_slot_runs(f)):
-        sep = "{}" if i else ""
-        if up:
-            out += sep + "^{" + r"\,".join(labels) + "}"
-        else:
-            out += sep + "_{" + r"\,".join(labels) + "}"
-    if f.derivs:
-        out += "{}_{," + r"\,".join(f.derivs) + "}"
-    return out
+    return _render(expr, _PLAIN)
 
 
 def render_latex(expr: Expression) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for i, t in enumerate(expr.terms):
-        magnitude = abs(t.coeff)
-        body = r"\,".join(_latex_factor(f) for f in t.factors)
-        if magnitude != 1 or not body:
-            coeff = (
-                str(magnitude.numerator)
-                if magnitude.denominator == 1
-                else rf"\frac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
-            )
-            body = coeff + (r"\," + body if body else "")
-        sign = "-" if t.coeff < 0 else ("+" if i else "")
-        parts.append((sign + " " if sign else "") + body)
-    return " ".join(parts).strip()
+    return _render(expr, _LATEX)
 
 
 def _json_factor(f: FactorLike):
-    if isinstance(f, InertDeriv):
-        return {
-            "covdiff": {
-                "body": [_json_factor(g) for g in f.factors],
-                "index": f.index,
-            }
-        }
-    return {
-        "name": f.name,
-        "slots": [[lbl, "up" if up else "down"] for lbl, up in f.slots],
-        "derivs": list(f.derivs),
-    }
+    if f.__class__ is InertDeriv:
+        return {"covdiff": {"body": [_json_factor(g) for g in f.factors],
+                            "index": f.index}}
+    return {"name": f.name,
+            "slots": [[lbl, "up" if up else "down"] for lbl, up in f.slots],
+            "derivs": list(f.derivs)}
 
 
 def expression_to_obj(expr: Expression):
-    return {
-        "terms": [
-            {
-                "coeff": _render_coeff(t.coeff),
-                "factors": [_json_factor(f) for f in t.factors],
-            }
-            for t in expr.terms
-        ]
-    }
+    return {"terms": [{"coeff": str(t.coeff),
+                       "factors": [_json_factor(f) for f in t.factors]}
+                      for t in expr.terms]}
 
 
 def render_json(expr: Expression) -> str:
@@ -154,16 +110,11 @@ def render_json(expr: Expression) -> str:
     return json.dumps(expression_to_obj(expr), separators=(", ", ": "))
 
 
-RENDERERS = {
-    "plain": render_plain,
-    "latex": render_latex,
-    "json": render_json,
-}
+RENDERERS = {"plain": render_plain, "latex": render_latex,
+             "json": render_json}
 
 
 def render(expr: Expression, fmt: str = "plain") -> str:
-    try:
-        renderer = RENDERERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}") from None
-    return renderer(expr)
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return RENDERERS[fmt](expr)

@@ -218,7 +218,7 @@ def test_criterion_4_numeric_soundness_oracle():
 def test_criterion_5_covariant_derivative_expansion():
     s = Session()
     s.set_metric("g")
-    out = covdiff(s, ev("v([],[i])", s), "j", mode="expanded")
+    out = covdiff(s, ev("v([],[i])", s), "j")
     expected = add(
         ev("v([],[i],j)", s),
         ex(
@@ -231,7 +231,7 @@ def test_criterion_5_covariant_derivative_expansion():
     )
     assert canform(s, out) == canform(s, expected)
 
-    compat = covdiff(s, ev("g([a,b],[])", s), "k", mode="expanded")
+    compat = covdiff(s, ev("g([a,b],[])", s), "k")
     compat = expand_christoffels(s, compat)
     assert canform(s, contract(s, compat)) == ZERO
     report(

@@ -132,7 +132,7 @@ def test_christoffel_vanishes_for_constant_metric(session):
 
 def test_covdiff_inert_wraps_termwise(session):
     e = ev("j([],[m]) + x([],[m])", session)
-    out = covdiff(session, e, "k", mode="inert")
+    out = mapcovdiff(session, e, "k")
     assert len(out.terms) == 2
     assert all(isinstance(t.factors[0], InertDeriv) for t in out.terms)
 
@@ -146,13 +146,13 @@ def test_covdiff_inert_nested(session):
 
 def test_covdiff_scalar_expanded(session):
     e = ev("phi", session)
-    assert covdiff(session, e, "i", mode="expanded") == ev(
+    assert covdiff(session, e, "i") == ev(
         "phi([],[],i)", session
     )
 
 
 def test_covdiff_vector_expansion(session):
-    out = covdiff(session, ev("v([],[i])", session), "j", mode="expanded")
+    out = covdiff(session, ev("v([],[i])", session), "j")
     expected = add(
         ev("v([],[i],j)", session),
         ex(
@@ -167,7 +167,7 @@ def test_covdiff_vector_expansion(session):
 
 
 def test_covdiff_covector_expansion_sign(session):
-    out = covdiff(session, ev("x([i],[])", session), "j", mode="expanded")
+    out = covdiff(session, ev("x([i],[])", session), "j")
     expected = add(
         ev("x([i],[],j)", session),
         scale(
@@ -195,13 +195,18 @@ def test_covdiff_expansion_corrects_derivative_indices(session):
     assert canform(session, out) == canform(session, expected)
 
 
+def test_covdiff_is_only_the_expanded_derivative(session):
+    with pytest.raises(TypeError):
+        covdiff(session, ev("v([],[i])", session), "j", mode="inert")
+
+
 def test_covdiff_expanded_requires_metric():
     with pytest.raises(NoMetricError):
-        covdiff(Session(), ex(term(1, fac("v", contra=("i",)))), "j", "expanded")
+        covdiff(Session(), ex(term(1, fac("v", contra=("i",)))), "j")
 
 
 def test_metric_compatibility(session):
-    out = covdiff(session, ev("g([a,b],[])", session), "k", mode="expanded")
+    out = covdiff(session, ev("g([a,b],[])", session), "k")
     out = expand_christoffels(session, out)
     assert canform(session, contract(session, out)) == ZERO
 

@@ -101,6 +101,24 @@ def test_flag_assignment():
     assert evaluator.session.geowedge is False
 
 
+@pytest.mark.parametrize("text, line", [
+    # integer block positions
+    ("decsym(R,4,0,[anti(1,2),anti(3,4)],[])$ "
+     "canform(R([a,b,c,d],[]) - R([b,a,d,c],[]));", "(%o2) 0"),
+    # a rule list applied to the gradient derivative
+    ("imetric(g)$ matchdeclare(a,atom,b,atom)$ "
+     "defrule(Z,A([],[a],b),B([],[a],b))$ "
+     "euler_lagrange(A([k],[],l)*A([],[k],p)*g([],[l,p]), A([m],[]), n, [Z]);",
+     "(%o4) - (B^{m}_{,%1}*g^{%1 %2})_{;%2}"),
+    ("diff(x*y, x);", "(%o1) y"),  # by a scalar symbol
+    ("igeowedge_flag:true;", "(%o1) true"),
+    ("diff(A([],[a])*B([a],[]), A([],[m]));",  # a contravariant target
+     "(%o1) B_{a}*kdelta_{m}^{a}"),
+])
+def test_transcript_line(text, line):
+    assert run_text(text)[1].splitlines()[-1] == line
+
+
 def test_idim_command():
     evaluator, transcript = run_text(
         "imetric(g)$ idim(3)$ contract(kdelta([a],[a]));"

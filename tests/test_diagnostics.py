@@ -2,8 +2,12 @@
 statement starts, exit statuses, and no raw tracebacks."""
 
 import io
+import os
+import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,27 @@ def test_internal_error_through_main(tmp_path, monkeypatch, capsys):
         "line 1, column 13: statement 2: internal error: RuntimeError: boom\n"
     )
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_the_run_quietly(tmp_path):
+    """A reader that stops early, as ``head`` does, closes the pipe while the
+    program still writes: it ends as ``cat`` would, with no diagnostic.  Its
+    output, about 1.2 MB, cannot fit in the pipe before the reader closes."""
+    path = tmp_path / "s.ind"
+    path.write_text("a: x^2000$\n" + "a;\n" * 300)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indicial", "--script", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline().startswith("(%o2) x*x*")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "internal error" not in err
+    assert (proc.returncode, err) == (-signal.SIGPIPE, "")
 
 
 def test_too_deep_nesting_is_a_parse_error(tmp_path):

@@ -54,6 +54,13 @@ def test_arity_mismatch_within_term():
         validate(t)
 
 
+def test_product_of_mismatched_ranks():
+    with pytest.raises(ArityMismatchError,
+                       match="tensor 'x' used with ranks 1 and 2"):
+        mul(ex(term(1, fac("x", cov=("a",)))),
+            ex(term(1, fac("x", cov=("b", "c")))))
+
+
 def test_lagrangian_term_is_scalar(session):
     e = ev("F([a,b],[])*g([],[k,a])*g([],[l,b])*F([k,l],[])", session)
     assert free_indices(e) == frozenset()

@@ -23,7 +23,7 @@ def golden(name):
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("fmt", ["plain", "latex"])
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
 def test_maxwell_transcript(fmt):
     out = io.StringIO()
     assert run_script(str(SCRIPT), Session(), fmt=fmt, out=out) == 0
