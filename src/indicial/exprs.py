@@ -426,11 +426,13 @@ class RunningProduct:
             p[0] = quotient(p[0], q) if divide else rational(p[0] * q)
 
     def times_factor(self, f: Factor) -> None:
-        """Multiply by a tensor literal, with no ``Term`` built unless need be."""
+        """Multiply by a tensor literal, with no ``Term`` built unless need be;
+        the literal alone is validated only when it repeats a label."""
         partials = self.partials
         if not (len(partials) == 1 and len(partials[0][1]) + 2 <= PRODUCT_CAP
                 and self._append(partials[0], (f,))):
-            self.times((validate(Term(1, (f,))),))
+            t, pos = Term(1, (f,)), positions(f)
+            self.times((validate(t) if len({lbl for lbl, _ in pos}) < len(pos) else t,))
 
     def times(self, terms) -> None:
         """Multiply by the sum of ``terms``."""

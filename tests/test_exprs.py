@@ -54,6 +54,28 @@ def test_arity_mismatch_within_term():
         validate(t)
 
 
+@pytest.mark.parametrize("text, error, match", [
+    ("(x + y)*T([a,a],[])", VarianceClashError,
+     "index 'a' repeated in covariant position"),
+    ("(x + y)*T([a],[a,a])", TripleIndexError, "index 'a' appears 3 times"),
+    ("(x([b],[]) + y([b],[]))*T([b],[a,a])", VarianceClashError,
+     "index 'a' repeated in contravariant position"),
+])
+def test_literal_repeating_a_label_times_a_sum(session, text, error, match):
+    with pytest.raises(error, match=match):
+        ev(text, session)
+
+
+def test_literal_times_a_sum_is_validated_only_when_it_repeats_a_label(
+        session, monkeypatch):
+    import indicial.exprs as exprs
+    calls = []
+    monkeypatch.setattr(exprs, "validate", lambda t: calls.append(t) or t)
+    ev("(x + y)*T([a,b],[c],d)*u([e],[e])", session)
+    literals = [t for t in calls if t.factors[0].name in ("T", "u")]
+    assert literals == [term(1, fac("u", cov=("e",), contra=("e",)))]
+
+
 def test_product_of_mismatched_ranks():
     with pytest.raises(ArityMismatchError,
                        match="tensor 'x' used with ranks 1 and 2"):

@@ -1,10 +1,11 @@
 """Byte-for-byte transcripts of the reference script (also under several
-hash seeds and through ``python -m indicial``) and of a traced
-Euler-Lagrange run, compared against the files in ``tests/golden``; and
-the modules a script run loads."""
+hash seeds, through ``python -m indicial`` and with its tensor literals
+spaced out) and of a traced Euler-Lagrange run, compared against the files
+in ``tests/golden``; and the modules a script run loads."""
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from indicial import Session
 from indicial.cli import main, run_script
+from indicial.parse import tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "maxwell.ind"
@@ -28,6 +30,20 @@ def test_maxwell_transcript(fmt):
     out = io.StringIO()
     assert run_script(str(SCRIPT), Session(), fmt=fmt, out=out) == 0
     assert out.getvalue() == golden(f"maxwell.{fmt}.txt")
+
+
+def test_spaced_literals_give_the_same_transcript(tmp_path):
+    """A space after each comma inside a tensor literal: every literal takes
+    the general path of the parser instead of being one token."""
+    text = re.sub(r"\w+\(\[[^()]*\)", lambda m: m.group().replace(",", ", "),
+                  SCRIPT.read_text(encoding="utf-8"))
+    assert "F([m, n], [])" in text
+    assert not any(tok.kind == "FACTOR" for tok in tokenize(text))
+    path = tmp_path / "maxwell_spaced.ind"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    assert run_script(str(path), Session(), out=out) == 0
+    assert out.getvalue() == golden("maxwell.plain.txt")
 
 
 def test_euler_lagrange_trace_transcript(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The regular-expression tokenizer against the character loop it replaced
 (``tokenize_reference``): the same tokens, or the same parse error at the
-same place, on scripts, generated sums and random strings."""
+same place, on scripts, generated sums and random strings.  A compactly
+written tensor literal is one FACTOR token, which stands for the reference
+tokens of its text, each at its own column."""
 
 import random
 import sys
@@ -28,11 +30,20 @@ PIECES = (
 
 
 def outcome(tokenizer, text):
-    """(kind, value, line, col) of every token, or the parse error."""
+    """(kind, value, line, col) of every token, a FACTOR token expanded into
+    the reference tokens of its text; or the parse error."""
     try:
-        return [(t.kind, t.value, t.line, t.col) for t in tokenizer(text)]
+        tokens = tokenizer(text)
     except ParseError as exc:
         return (str(exc), exc.line, exc.column)
+    out = []
+    for t in tokens:
+        if t.kind == "FACTOR":
+            out += [(p.kind, p.value, t.line, t.col + p.col - 1)
+                    for p in reference.tokenize(t.value)[:-1]]
+        else:
+            out.append((t.kind, t.value, t.line, t.col))
+    return out
 
 
 def assert_same(text):
