@@ -37,7 +37,7 @@ from .exprs import (
     validate,
     validate_expression,
 )
-from .session import Session
+from .session import Session, matching_definition
 
 CONSTANT_NAMES = {KDELTA, DIM_SYMBOL}
 
@@ -85,12 +85,8 @@ def expand_components(session: Session, expr: Expression) -> Expression:
         return expr
 
     def instance(t: Term, f) -> Expression | None:
-        if not isinstance(f, Factor):
-            return None
-        cdef = session.components.get(f.name)
+        cdef = matching_definition(session.components, f)
         if cdef is None:
-            return None
-        if f.variance_pattern() != cdef.signature.variance_pattern():
             return None
         labels = [lbl for lbl, _ in f.slots]
         fresh = Expression(tuple(freshen(d, labels) for d in cdef.definition.terms))

@@ -248,7 +248,7 @@ def quotient(a, b):
 
 def fac(name: str, cov=(), contra=(), derivs=()) -> Factor:
     """Build a factor from separate covariant/contravariant index lists."""
-    slots = tuple((lbl, False) for lbl in cov) + tuple((lbl, True) for lbl in contra)
+    slots = tuple([(lbl, False) for lbl in cov] + [(lbl, True) for lbl in contra])
     return Factor(name, slots, tuple(derivs))
 
 

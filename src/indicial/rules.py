@@ -30,7 +30,7 @@ from .exprs import (
     validate,
     validate_expression,
 )
-from .session import ComponentDef, RewriteRule, Session
+from .session import ComponentDef, RewriteRule, Session, matching_definition
 
 ITERATION_CAP = 10_000
 
@@ -64,16 +64,14 @@ def defrule(session: Session, name: str, pattern: Expression,
 
 def _reaches(session: Session, signature: Factor, definition: Expression) -> bool:
     """Whether substituting ``definition`` for ``signature``, and in turn the
-    active component definitions, reaches a factor ``signature`` matches: a
-    top-level factor with its name and variance pattern, as
-    ``calculus.expand_components`` matches."""
+    active component definitions, reaches a factor ``signature`` matches, as
+    ``calculus.expand_components`` matches it."""
     defs = {**session.components, signature.name: ComponentDef(signature, definition)}
     stack, seen = [definition], set()
     while stack:
         for f in [f for t in stack.pop().terms for f in t.factors]:
-            cdef = defs.get(f.name) if f.__class__ is Factor else None
-            if (cdef is not None and f.name not in seen
-                    and f.variance_pattern() == cdef.signature.variance_pattern()):
+            cdef = matching_definition(defs, f)
+            if cdef is not None and f.name not in seen:
                 if f.name == signature.name:
                     return True
                 seen.add(f.name)

@@ -22,6 +22,17 @@ RewriteRule = NamedTuple("RewriteRule", [("name", str), ("pattern", Expression),
                                          ("metavars", frozenset)])
 
 
+def matching_definition(definitions: dict[str, ComponentDef],
+                        f) -> ComponentDef | None:
+    """The definition among ``definitions`` that the factor ``f`` takes: one
+    for its name, if ``f`` is a plain factor with its signature's variance
+    pattern."""
+    cdef = definitions.get(f.name) if f.__class__ is Factor else None
+    if cdef is not None and f.variance_pattern() == cdef.signature.variance_pattern():
+        return cdef
+    return None
+
+
 class Session:
     """Metric configuration, declarations, rules, bindings, and history.
 

@@ -261,3 +261,36 @@ def test_oversized_product_is_refused_before_it_is_built(tmp_path, capsys, text,
     assert time.perf_counter() - start < 1.0
     assert (status, out) == (2, "")
     assert err.startswith(f"line 2, column {column}: statement 2: ProductSizeError: ")
+
+
+FIRST = "line 1, column 1: statement 1: SemanticError: "
+
+
+@pytest.mark.parametrize("text, err", [
+    ("map(y,x);",
+     FIRST + "map only supports lambda([x], 'covdiff(x, index))"),
+    ("idim(x);", FIRST + "idim takes a positive integer or dim"),
+    ("decsym(T,a,0,[],[]);", FIRST + "decsym arities must be integers"),
+    ("decsym(T,1,0,x,[]);", FIRST + "decsym blocks must be lists"),
+    ("decsym(T,2,0,[x],[]);", FIRST + "blocks are sym(...) or anti(...)"),
+    ("decsym(T,2,0,[sym(a,b)],[]);", FIRST + "block positions must be integers"),
+    ("components(x,y);",
+     FIRST + "components takes a tensor signature and a definition"),
+    ("apply(f,[a]);", FIRST + "apply only wraps defrule"),
+    ("diff(x,1);", FIRST + "diff differentiates by an indexed object"),
+    ("apply1(x,1);", FIRST + "apply1 takes an expression and a rule name"),
+    ("euler_lagrange(x,y,a);",
+     FIRST + "euler_lagrange takes a Lagrangian, a field pattern, a derivative"
+     " index, and optionally a rule list"),
+    ("euler_lagrange(x,phi([],[]),a,r);",
+     FIRST + "the rule list must be a list of rule names"),
+    ("imetric(1);", FIRST + "expected a metric name"),
+    ("idiff(x,1);", FIRST + "expected an index label"),
+    ("[a];", FIRST + "a list is not an expression"),
+    ("x^y;", FIRST + "exponents must be nonnegative integers"),
+    ("igeowedge_flag: 1;", FIRST + "flags take the values true or false"),
+    ("load(itensor)$ %th(1);", "line 1, column 16: statement 2: HistoryError:"
+     " history entry %th(1) is not an expression"),
+])
+def test_argument_errors_name_the_statement(tmp_path, capsys, text, err):
+    assert run_main(tmp_path, capsys, text) == (2, "", err + "\n")

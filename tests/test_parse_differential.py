@@ -131,34 +131,53 @@ def test_labels_past_the_digit_limit_parse_alike():
         assert_same(f"T([a],[{label}]);")
 
 
-class CountingList(list):
-    """A token list that counts the tokens each slice assignment moves."""
+@pytest.fixture
+def readings(monkeypatch):
+    """The number of tokens handed to each parser, one entry per reading."""
+    handed = []
+    init = parse.Parser.__init__
 
-    moved = 0
+    def counting(self, tokens):
+        handed.append(len(tokens))
+        init(self, tokens)
 
-    def __setitem__(self, index, value):
-        if isinstance(index, slice):
-            self.moved += len(self) - (index.start or 0)
-        super().__setitem__(index, value)
+    monkeypatch.setattr(parse.Parser, "__init__", counting)
+    return handed
 
 
 @pytest.mark.parametrize("quote", ["'", "' ", "'/**/"])
-def test_quoted_literals_parse_in_linear_time(monkeypatch, quote):
-    # After a quote, covdiff([a],b) is read token by token, and the parse
-    # goes on.  Splitting one literal at a time would move the rest of the
-    # token list for each: about 15*n*n tokens here.
+def test_quoted_literals_parse_in_linear_time(readings, quote):
+    # After a quote, covdiff([a],b) parses only token by token.  Reading the
+    # text with its literal tokens and then once more token by token hands
+    # the parser 13 tokens per operand; reading it again for each literal
+    # would hand it about 6.5*n*n.
     n = 3000
     text = "*".join([quote + "covdiff([a],b)"] * n) + ";"
     assert_same(text)
-    lists = []
-
-    def counting(text):
-        lists.append(CountingList(tokenize(text)))
-        return lists[-1]
-
-    monkeypatch.setattr(parse, "tokenize", counting)
+    readings.clear()
     parse_program(text)
-    assert 0 < lists[0].moved < 20 * n
+    assert 0 < sum(readings) < 20 * n
+
+
+def test_texts_that_parse_are_read_once(readings):
+    # A text that parses with its literal tokens, or fails without any, is
+    # read once: a FACTOR token the parser no longer took would still give
+    # the right tree, from a second reading, only slower.
+    texts = [(ROOT / "scripts" / "maxwell.ind").read_text(encoding="utf-8")]
+    for path in sorted((ROOT / "tests" / "golden").iterdir()):
+        texts += path.read_text(encoding="utf-8").splitlines()
+    for text in texts:
+        readings.clear()
+        outcome(parse_program, text)
+        assert len(readings) <= 1, text
+    rng = random.Random(23)
+    for n in (1, 5, 40):
+        for _ in range(20):
+            text = random_sum(rng, n, 4, 0.0)[0]
+            readings.clear()
+            parse_expression(text)
+            parse_program(text + ";")
+            assert len(readings) == 2, text
 
 
 def random_literal(rng: random.Random) -> str:
