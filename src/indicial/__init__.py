@@ -41,13 +41,8 @@ from .exprs import (
     validate,
     validate_expression,
 )
-from .lagrangian import FieldEquation, check_conservation, euler_lagrange
-from .numeval import (
-    ComponentAssignment,
-    assignment_from_fixture,
-    numeric_eval,
-    random_assignment,
-)
+from .lagrangian import FieldEquation, euler_lagrange
+from .numeval import ComponentAssignment, numeric_eval, random_assignment
 from .printing import render, render_json, render_latex, render_plain
 from .rules import apply1, components, defrule, matchdeclare, remcomps
 from .session import Session

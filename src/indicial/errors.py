@@ -94,7 +94,3 @@ class InertOperatorError(SemanticError):
 
 class NonScalarLagrangianError(SemanticError):
     pass
-
-
-class FreeIndexMismatchError(SemanticError):
-    pass

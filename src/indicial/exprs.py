@@ -545,10 +545,12 @@ def structural_key(obj):
 
 
 def coarse_key(f: FactorLike):
-    """Label-free shape of a factor, used to group interchangeable factors."""
+    """Label-free shape of a factor, used to group interchangeable factors.
+    An inert body's shapes are sorted: bodies that list the same factors in
+    different orders have one shape, since arrangements reorder bodies."""
     if isinstance(f, Factor):
         return (0, f.name, len(f.slots), f.variance_pattern(), len(f.derivs))
-    return (1, tuple(coarse_key(g) for g in f.factors))
+    return (1, tuple(sorted([coarse_key(g) for g in f.factors])))
 
 
 def walk_factors(obj) -> Iterator[Factor]:

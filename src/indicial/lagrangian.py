@@ -1,4 +1,4 @@
-"""Euler-Lagrange driver and conservation checks."""
+"""Euler-Lagrange driver."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ from typing import NamedTuple
 
 from .algebra import canform, contract, expand
 from .calculus import fdiff, mapcovdiff
-from .errors import FreeIndexMismatchError, NonScalarLagrangianError, SemanticError
+from .errors import NonScalarLagrangianError, SemanticError
 from .exprs import (
     Expression,
     Factor,
-    ZERO,
     add,
     free_indices,
     neg,
@@ -33,10 +32,11 @@ def euler_lagrange(session: Session, lagrangian: Expression, field: Factor,
     """Vary a scalar Lagrangian density with respect to one field.
 
     Computes the derivative with respect to the field and, separately, with
-    respect to its gradient; the gradient branch runs through the supplied
-    rewrite rules and the expand/contract/canform pipeline before being
-    wrapped in an inert covariant derivative.  The result is the variational
-    form: field branch minus the divergence of the gradient branch.
+    respect to its gradient; the gradient branch runs through the rewrite
+    rules named in ``post_rules`` and the expand/contract/canform pipeline
+    before being wrapped in an inert covariant derivative.  The result is
+    the variational form: field branch minus the divergence of the gradient
+    branch.
     """
     validate_expression(lagrangian)
     if free_indices(lagrangian):
@@ -56,9 +56,8 @@ def euler_lagrange(session: Session, lagrangian: Expression, field: Factor,
     gradient_target = Factor(field.name, field.slots, field.derivs + (deriv_index,))
     stage = fdiff(session, lagrangian, gradient_target)
     trace.append(("gradient_derivative", stage))
-    for rule in post_rules:
-        stage = apply1(session, stage, rule)
-        name = rule if isinstance(rule, str) else rule.name
+    for name in post_rules:
+        stage = apply1(session, stage, name)
         trace.append((f"rule_{name}", stage))
     stage = contract(session, expand(session, stage))
     t2 = canform(session, stage)
@@ -70,24 +69,3 @@ def euler_lagrange(session: Session, lagrangian: Expression, field: Factor,
     trace.append(("equation", lhs))
     return FieldEquation(lhs, tuple(trace))
 
-
-def check_conservation(session: Session, equation: FieldEquation, index: str,
-                       rules=()) -> Expression:
-    """Contract the field equation with an inert divergence and simplify.
-
-    Returns the residue; for a divergence-free equation only source terms
-    survive.
-    """
-    lhs = equation.lhs if isinstance(equation, FieldEquation) else equation
-    if lhs.is_zero():
-        return ZERO
-    frees = free_indices(lhs)
-    if frees != frozenset({(index, True)}):
-        raise FreeIndexMismatchError(
-            f"expected the single free contravariant index {index!r}, "
-            f"found {sorted(frees)}"
-        )
-    residue = mapcovdiff(session, lhs, index)
-    for rule in rules:
-        residue = apply1(session, residue, rule)
-    return canform(session, residue)

@@ -166,18 +166,14 @@ def collect_shapes(exprs) -> set[tuple[str, int, int]]:
     return shapes
 
 
-def random_assignment(session: Session, exprs, dim: int = 2, seed: int = 0,
-                      field_strength: tuple[str, str] | None = None
-                      ) -> ComponentAssignment:
+def random_assignment(session: Session, exprs, dim: int = 2,
+                      seed: int = 0) -> ComponentAssignment:
     """Draw components consistent with the session's declarations.
 
     The metric is a random symmetric positive definite matrix so its inverse
     is exact; each tensor is drawn as the average of a random array over the
     signed position orders of its fully covariant shape (``algebra._table``),
     so it carries its declared symmetry and its derivative axes commute.
-    When ``field_strength=(F, A)`` is given, F's base components are
-    assembled as the curl of A's jet so rules relating the two are
-    numerically sound.
     """
     import numpy as np
 
@@ -186,26 +182,13 @@ def random_assignment(session: Session, exprs, dim: int = 2, seed: int = 0,
     if session.metric is not None:
         r = rng.uniform(-1.0, 1.0, size=(dim, dim))
         assignment.set_array(session.metric, 2, 0, r @ r.T + np.eye(dim))
-    shapes = collect_shapes(exprs)
-    if field_strength is not None:
-        shapes.add((field_strength[1], 1, 1))
-    for name, rank, nderivs in sorted(shapes):
+    for name, rank, nderivs in sorted(collect_shapes(exprs)):
         if (name, rank, nderivs) in assignment.base:
             continue
         arr = rng.uniform(-1.5, 1.5, size=(dim,) * (rank + nderivs))
         table = _table(session, Factor(name, (("", False),) * rank, ("",) * nderivs))
         arr = sum([sign * arr.transpose(order) for order, sign in table]) / len(table)
         assignment.set_array(name, rank, nderivs, arr)
-    if field_strength is not None:
-        f_name, a_name = field_strength
-        jet = assignment.base[(a_name, 1, 1)]
-        curl = jet.T - jet  # F[m, n] = A[n, m] - A[m, n] with axes (slot, deriv)
-        for block in session.blocks_for(f_name):
-            if block.kind != "anti" or block.positions != (0, 1):
-                raise SemanticError(
-                    f"{f_name!r} must be declared antisymmetric to carry a curl"
-                )
-        assignment.set_array(f_name, 2, 0, curl)
     return assignment
 
 
@@ -284,20 +267,3 @@ def random_expression(session: Session, rng, free=(), max_terms: int = 3,
     )
     return validate_expression(Expression(terms))
 
-
-def assignment_from_fixture(data: dict) -> ComponentAssignment:
-    """Load components from the JSON fixture layout.
-
-    Keys of ``tensors`` are tensor names, optionally suffixed with a comma
-    and the number of derivative axes (``"A,1"`` holds the jet of A); values
-    are nested lists shaped (dim,)*(rank + nderivs).
-    """
-    import numpy as np
-
-    assignment = ComponentAssignment(int(data["dim"]), data.get("metric"))
-    for key, listing in data.get("tensors", {}).items():
-        name, _, nd = key.partition(",")
-        nderivs = int(nd) if nd else 0
-        arr = np.asarray(listing, dtype=float)
-        assignment.set_array(name, arr.ndim - nderivs, nderivs, arr)
-    return assignment

@@ -10,9 +10,9 @@ matched at successive offsets; the parser reads its lookahead by index into
 the token list.  A literal written compactly, with no space, comment or line
 break inside and ASCII names only, is one ``FACTOR`` token, which the parser
 turns into its factor directly; every other spelling is read token by token.
-A text is read with its literal tokens, and read again token by token if
-that fails, so every spelling gives the same tree and every diagnostic is
-the token-by-token reading's.
+A text is read with its literal tokens; from a statement that fails, it is
+read again token by token, so every spelling gives the same tree and every
+diagnostic is the token-by-token reading's.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ BUILTINS = {
 # after PUNCT, which never starts a literal, and before NAME, which would
 # take its name.  Only Parser.parse_atom takes a FACTOR token, as a whole
 # literal; a text whose reading fails is read again from the primitive
-# tokens (``_read``).
+# tokens (``_pieces``).
 _NAME = r"[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)*"
 _LABEL = rf"(?:{_NAME}|%[1-9][0-9]{{0,17}})"
 _LABELS = rf"\[(?:{_LABEL}(?:,{_LABEL})*)?\]"
@@ -233,9 +233,19 @@ class Parser:
     # -- statements --
 
     def parse_program(self) -> list[Statement]:
+        """The statements up to EOF.  From a statement that fails to parse,
+        the tokens are read again with each literal token in pieces
+        (``_pieces``); the statements before it are kept."""
         statements = []
         while not self.at("EOF"):
-            statements.append(self.parse_statement())
+            start = self.pos
+            try:
+                statements.append(self.parse_statement())
+            except ParseError:
+                pieces = _pieces(self.tokens[start:])
+                if pieces is None:
+                    raise
+                return statements + Parser(pieces).parse_program()
         return statements
 
     def parse_statement(self) -> Statement:
@@ -499,36 +509,33 @@ def _literal(text: str) -> Factor:
     return Factor(name, slots, tuple(derivs[1:].split(",")) if derivs else ())
 
 
-def _read(text: str, read):
-    """``read`` of a parser over the tokens of ``text``.  If that raises a
-    ParseError, the same tokens are read again with every FACTOR token
-    replaced by the primitive tokens of its text.  A literal token is taken
-    only where those give the same factor, so a reading that succeeds gives
-    the token-by-token tree, and every error is the token-by-token
-    reading's."""
+def _tokens(text: str) -> list[Token]:
     tokens = tokenize(text)
     # Two spare EOFs: the parser never moves past the first, so reading up to
     # two tokens ahead of ``pos`` needs no bounds check.
-    tokens += tokens[-1:] * 2
-    try:
-        return read(Parser(tokens))
-    except ParseError:
-        pieces = []
-        for tok in tokens:
-            if tok.kind != "FACTOR":
-                pieces.append(tok)
-                continue
-            for m in _PIECE.finditer(tok.value):
-                v = m.group()
-                kind = "DUMMY" if v[0] == "%" else "NAME" if v[0].isalpha() else v
-                pieces.append(Token(kind, v, tok.line, tok.col + m.start()))
-        if len(pieces) == len(tokens):  # no literal token: the same reading
-            raise
-    return read(Parser(pieces))
+    return tokens + tokens[-1:] * 2
+
+
+def _pieces(tokens: list[Token]) -> list[Token] | None:
+    """``tokens`` with every FACTOR token replaced by the primitive tokens of
+    its text, or None if there is no FACTOR token.  A literal token is taken
+    only where those give the same factor, so a reading that succeeds gives
+    the token-by-token tree, and every error is the token-by-token
+    reading's."""
+    pieces = []
+    for tok in tokens:
+        if tok.kind != "FACTOR":
+            pieces.append(tok)
+            continue
+        for m in _PIECE.finditer(tok.value):
+            v = m.group()
+            kind = "DUMMY" if v[0] == "%" else "NAME" if v[0].isalpha() else v
+            pieces.append(Token(kind, v, tok.line, tok.col + m.start()))
+    return pieces if len(pieces) > len(tokens) else None
 
 
 def parse_program(text: str) -> list[Statement]:
-    return _read(text, Parser.parse_program)
+    return Parser(_tokens(text)).parse_program()
 
 
 def _whole_expression(parser: Parser):
@@ -540,5 +547,13 @@ def _whole_expression(parser: Parser):
 
 
 def parse_expression(text: str):
-    """Parse a single expression into its syntax tree."""
-    return _read(text, _whole_expression)
+    """Parse a single expression into its syntax tree, reading the whole
+    text again token by token if that fails."""
+    tokens = _tokens(text)
+    try:
+        return _whole_expression(Parser(tokens))
+    except ParseError:
+        pieces = _pieces(tokens)
+        if pieces is None:
+            raise
+    return _whole_expression(Parser(pieces))

@@ -19,6 +19,7 @@ from .exprs import (
     Expression,
     Factor,
     FactorLike,
+    InertDeriv,
     Term,
     coarse_key,
     free_indices,
@@ -120,8 +121,13 @@ def _bind(pattern_label: str, subject_label: str, metavars: frozenset[str],
 
 
 def _match_factor(p: FactorLike, s: FactorLike, metavars, binding) -> bool:
-    """Whether ``s`` has the shape of ``p`` and its labels extend ``binding``
-    position by position."""
+    """Whether ``s`` has the shape of ``p``, an inert body factor by factor in
+    order, and its labels extend ``binding`` position by position."""
+    if p.__class__ is InertDeriv:
+        return (s.__class__ is InertDeriv and len(p.factors) == len(s.factors)
+                and all(_match_factor(pf, sf, metavars, binding)
+                        for pf, sf in zip(p.factors, s.factors))
+                and _bind(p.index, s.index, metavars, binding))
     if coarse_key(p) != coarse_key(s):
         return False
     for (pl, _), (sl, _) in zip(positions(p), positions(s)):
@@ -220,19 +226,19 @@ def _rewrite_once(session: Session, current: CanonicalSum,
     return None
 
 
-def apply1(session: Session, expr: Expression, rule) -> Expression:
-    """Rewrite with one rule to a fixpoint (iteration cap 10000), building
-    at most ``PRODUCT_CAP`` terms and factors in the products of its rewrites.
+def apply1(session: Session, expr: Expression, name: str) -> Expression:
+    """Rewrite with the rule named ``name`` to a fixpoint (iteration cap
+    10000), building at most ``PRODUCT_CAP`` terms and factors in the
+    products of its rewrites.
 
     Matching operates on the canonical form: metavariables bind free or
     dummy indices position by position, respecting variance; two-term
     patterns match pairs of terms whose coefficients stand in the pattern's
     ratio and whose spectator factors agree up to relabeling.
     """
-    if isinstance(rule, str):
-        if rule not in session.rules:
-            raise SemanticError(f"no rule named {rule!r}")
-        rule = session.rules[rule]
+    rule = session.rules.get(name)
+    if rule is None:
+        raise SemanticError(f"no rule named {name!r}")
     current = CanonicalSum(canform(session, expr))
     variants = _pattern_arrangements(session, rule.pattern.terms[0])
     built = 0

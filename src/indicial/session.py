@@ -40,9 +40,10 @@ class Session:
     is the only mutable state.
     """
 
-    def __init__(self, metric: str | None = None, dimension: int | None = None,
-                 geowedge: bool = True):
-        self.metric, self.dimension, self.geowedge = metric, dimension, geowedge
+    def __init__(self):
+        self.metric: str | None = None
+        self.dimension: int | None = None
+        self.geowedge = True
         self.symmetries: dict[str, tuple[SymmetryBlock, ...]] = {
             CHRISTOFFEL: (SymmetryBlock("sym", (0, 1)),)}
         self.components: dict[str, ComponentDef] = {}

@@ -175,10 +175,11 @@ def test_criterion_4_numeric_soundness_oracle():
         e = mul(curl, ev(rest, s))
         rewritten = apply1(s, e, "Maxwell")
         assert rewritten != canform(s, e)
-        assignment = random_assignment(
-            s, [e, rewritten], dim=4, seed=SEED + 900 + i,
-            field_strength=("F", "A"),
-        )
+        assignment = random_assignment(s, [e, rewritten], dim=4,
+                                       seed=SEED + 900 + i)
+        # F as the curl of A's jet, so that the rule is numerically sound
+        jet = assignment.base[("A", 1, 1)]
+        assignment.set_array("F", 2, 0, jet.T - jet)
         assert _close(
             numeric_eval(e, assignment), numeric_eval(rewritten, assignment)
         )

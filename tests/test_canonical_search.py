@@ -20,13 +20,17 @@ from indicial.exprs import (
     Factor,
     InertDeriv,
     Term,
+    ZERO,
+    coarse_key,
     fac,
     structural_key,
+    sub,
     validate,
 )
 from indicial.numeval import DEFAULT_POOL, random_expression
 from indicial.printing import render_plain
 from indicial.rules import (
+    _match_factor,
     _pattern_arrangements,
     _pattern_matches,
     apply1,
@@ -326,21 +330,47 @@ def test_ring_of_identical_factors_is_bounded():
 
 
 def test_oversized_factors_are_refused_without_listing_them():
-    """An 11-slot block or eleven interchangeable factors in an inert body
-    have more than SEARCH_CAP arrangements; long bodies of distinct factors
-    and repeated identical ones are cheap."""
+    """An 11-slot block, eleven interchangeable factors in an inert body, or
+    an inert body of two 7-slot blocks (5040**2 arrangements, listed only up
+    to the cap) have more than SEARCH_CAP arrangements; long bodies of
+    distinct factors and repeated identical ones are cheap."""
     s = Session()
     decsym(s, "T", 11, 0, [("sym", "all")], [])
+    decsym(s, "U", 7, 0, [("sym", "all")], [])
     labels = [f"a{i}" for i in range(11)]
     vectors = tuple(fac("x", cov=(lbl,)) for lbl in labels)
-    for t in (Term(Fraction(1), (fac("T", cov=labels),)),
-              Term(Fraction(1), (InertDeriv(vectors, "m"),))):
-        with pytest.raises(CanformSizeError):
+    blocks = tuple(fac("U", cov=[f"{c}{i}" for i in range(7)]) for c in "bc")
+    for t, message in (
+        (Term(Fraction(1), (fac("T", cov=labels),)),
+         f"a factor has 39916800 arrangements, over {SEARCH_CAP}"),
+        (Term(Fraction(1), (InertDeriv(vectors, "m"),)),
+         f"an inert body has 39916800 orders, over {SEARCH_CAP}"),
+        (Term(Fraction(1), (InertDeriv(blocks, "m"),)),
+         f"a factor has over {SEARCH_CAP} arrangements"),
+    ):
+        with pytest.raises(CanformSizeError) as caught:
             canonical_term(s, t)
+        assert str(caught.value) == message
     long_body = tuple(fac(f"X{i}", cov=(f"b{i}",)) for i in range(1500))
     assert canonical_term(s, Term(Fraction(1), (InertDeriv(long_body, "m"),)))
     phis = (fac("phi"),) * 12 + (fac("x", cov=("m",)),)
     assert canonical_term(s, Term(Fraction(1), (InertDeriv(phis, "n"),)))
+
+
+def test_inert_bodies_in_other_orders_are_interchangeable(field_session):
+    """Two inert derivatives whose bodies list the same factors in other
+    orders fall in one group, so the search exchanges them."""
+    s = field_session
+    a = ev("'covdiff(x([a],[])*y([],[a]),i)*'covdiff(y([],[b])*x([b],[]),j)", s)
+    b = ev("'covdiff(y([],[a])*x([a],[]),i)*'covdiff(x([b],[])*y([],[b]),j)", s)
+    assert render_plain(canform(s, a)) == "(x_{%1}*y^{%1})_{;i}*(x_{%2}*y^{%2})_{;j}"
+    assert canform(s, b) == canform(s, a)
+    assert canform(s, sub(a, b)) == ZERO
+    # a body's order used to decide where its group went, so a second canform
+    # could reorder the first one's factors
+    c = canform(s, ev("'covdiff(y([],[a])*x([a],[]),i)"
+                      "*'covdiff(x([b],[])*z([],[b]),j)", s))
+    assert canform(s, c) == c
 
 
 @pytest.mark.parametrize("inert", [False, True])
@@ -416,6 +446,20 @@ def test_pattern_matches_come_in_the_enumeration_order(field_session):
             for t in canform(s, ev(s_text, s)).terms:
                 ours = distinct(_pattern_matches(t, pattern, arranged, metavars))
                 assert ours == distinct(reference_matches(s, t, pattern, metavars))
+
+
+def test_an_inert_body_matches_in_its_own_order(session):
+    """Bodies in other orders share a coarse shape, but their positions do
+    not align: an inert pattern matches its body factor by factor."""
+    x_a, y_a = fac("x", cov=("a",)), fac("y", contra=("a",))
+    x_b, y_b = fac("x", cov=("b",)), fac("y", contra=("b",))
+    pattern = InertDeriv((x_a, y_a), "i")
+    metavars = frozenset("ai")
+    assert coarse_key(pattern) == coarse_key(InertDeriv((y_b, x_b), "j"))
+    assert not _match_factor(pattern, InertDeriv((y_b, x_b), "j"), metavars, {})
+    binding = {}
+    assert _match_factor(pattern, InertDeriv((x_b, y_b), "j"), metavars, binding)
+    assert binding == {"a": "b", "i": "j"}
 
 
 # --- the open mixed-variance defect ------------------------------------------------

@@ -1,11 +1,11 @@
 import pytest
 
-from indicial import add, scalar, scale
+from indicial import add, scale
 from indicial.algebra import canform, decsym
 from indicial.calculus import extdiff
-from indicial.errors import FreeIndexMismatchError, NonScalarLagrangianError
-from indicial.exprs import ZERO, fac, free_indices
-from indicial.lagrangian import FieldEquation, check_conservation, euler_lagrange
+from indicial.errors import NonScalarLagrangianError
+from indicial.exprs import fac, free_indices
+from indicial.lagrangian import euler_lagrange
 from indicial.rules import components, defrule, matchdeclare, remcomps
 
 from conftest import ev
@@ -31,12 +31,6 @@ def maxwell_setup(session):
         "Maxwell",
         extdiff(session, ev("A([a],[])", session), "b"),
         ev("F([a,b],[])", session),
-    )
-    defrule(
-        session,
-        "CC",
-        ev("'covdiff('covdiff(F([],[a,b]),b),a)", session),
-        scalar(0),
     )
     return session, lagrangian
 
@@ -103,32 +97,3 @@ def test_rejects_non_scalar_lagrangian(session):
     with pytest.raises(NonScalarLagrangianError):
         euler_lagrange(session, ev("x([a],[])", session), fac("phi"), "n")
 
-
-def test_conservation_of_the_current(maxwell_setup):
-    session, lagrangian = maxwell_setup
-    eq = euler_lagrange(
-        session, lagrangian, fac("A", cov=("m",)), "n", post_rules=["Maxwell"]
-    )
-    residue = check_conservation(session, eq, "m", rules=["CC"])
-    expected = canform(session, ev("'covdiff(j([],[m]),m)", session))
-    assert residue == expected
-
-
-def test_conservation_without_rules_keeps_both_terms(maxwell_setup):
-    session, lagrangian = maxwell_setup
-    eq = euler_lagrange(
-        session, lagrangian, fac("A", cov=("m",)), "n", post_rules=["Maxwell"]
-    )
-    residue = check_conservation(session, eq, "m")
-    assert len(residue.terms) == 2
-
-
-def test_conservation_of_zero_equation(session):
-    eq = FieldEquation(ZERO, ())
-    assert check_conservation(session, eq, "m") == ZERO
-
-
-def test_conservation_free_index_mismatch(session):
-    eq = FieldEquation(ev("j([],[m])", session), ())
-    with pytest.raises(FreeIndexMismatchError):
-        check_conservation(session, eq, "k")

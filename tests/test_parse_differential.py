@@ -180,6 +180,19 @@ def test_texts_that_parse_are_read_once(readings):
             assert len(readings) == 2, text
 
 
+def test_a_failing_text_is_read_again_from_the_failing_statement(readings):
+    # The statements before the one that fails keep their reading with
+    # literal tokens: only the failing statement and the text after it are
+    # read again token by token.
+    n = 2000
+    text = "x([k0],[])$\n" * n + "T_{a b([c],[])};\nw;"
+    assert_same(text)
+    readings.clear()
+    assert outcome(parse_program, text)[1:] == (
+        f"expected '}}', found '(' (line {n + 1}, column 7)", n + 1, 7)
+    assert len(readings) == 2 and sum(readings) < 1.1 * readings[0]
+
+
 def random_literal(rng: random.Random) -> str:
     """A tensor literal, now and then with a gap between its tokens or a
     label no compact literal takes."""

@@ -109,6 +109,16 @@ def test_error_carries_position():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("w;\nT_{;i}_{a};", "index blocks cannot follow an inert block (line 2, column 7)"),
+    ("w;\nT_{a,b}_{c,d};", "derivative indices appear twice (line 2, column 11)"),
+])
+def test_printed_factor_errors_point_at_the_offending_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
 def test_statements_record_where_they_start():
     statements = parse_program("imetric(g)$\n  L: x([a],[]);\n/* c */ w;")
     assert [(s.line, s.col) for s in statements] == [(1, 1), (2, 3), (3, 9)]
