@@ -10,9 +10,10 @@ derivatives), as Butler-Portugal canonicalization keeps its group as signed
 permutations.  With dummies renamed in first-occurrence order the least
 ``structural_key`` is canonical; ``canonical_term`` finds it by a depth-first
 search that keeps only the least key prefix and weighs each choice by
-permuting label keys with a table's orders.  A term with no choice to make
-(each coarse group holds copies of one factor with a one-entry table) skips
-the search.
+permuting label keys with a table's orders.  It computes each distinct
+factor's shape (coarse key and table) once per term, and renames only the
+winning leaf, once.  A term with no choice to make (each coarse group holds
+copies of one factor with a one-entry table) skips the search.
 
 This module alone collects canonical terms (``CanonicalSum``, for ``canform``
 and ``rules.apply1``) and enumerates a declared symmetry (``_table``, for the
@@ -250,10 +251,12 @@ def _listed(items) -> list:
     return items
 
 
-def _coarse_groups(factors) -> list[tuple[FactorLike, ...]]:
-    """Runs of equal label-free shape, in shape order; stable within a run."""
-    return [tuple(g) for _, g in groupby(sorted(factors, key=coarse_key),
-                                         key=coarse_key)]
+def _coarse_groups(items, keys) -> list[tuple]:
+    """``items`` in runs of equal coarse key (``keys``, one per item), the runs
+    in key order; stable within a run."""
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    return [tuple([items[i] for i in run])
+            for _, run in groupby(order, key=keys.__getitem__)]
 
 
 # (declared blocks, variance pattern, number of derivatives) -> its table: a
@@ -268,13 +271,19 @@ def _table(session: Session, f: Factor) -> tuple[tuple[tuple[int, ...], int], ..
     its slots (the first block varies slowest, ``anti`` signed), then the
     derivative indices permute.  Built once per shape; a shape with more
     than ``SEARCH_CAP`` arrangements raises ``CanformSizeError`` unbuilt."""
-    shape = (session.blocks_for(f.name), f.variance_pattern(), len(f.derivs))
+    return _shape_table(session.blocks_for(f.name), f.variance_pattern(), len(f.derivs))
+
+
+def _shape_table(declared, pattern, n_derivs):
+    """``_table`` of the shape: declared blocks, variance pattern, number of
+    derivatives."""
+    shape = (declared, pattern, n_derivs)
     table = _TABLES.get(shape)
     if table is not None:
         return table
-    rank, n_derivs = len(f.slots), len(f.derivs)
-    blocks = [b for b in shape[0] if all(p < rank for p in b.positions)
-              and len({f.slots[p][1] for p in b.positions}) == 1]
+    rank = len(pattern)
+    blocks = [b for b in declared if all(p < rank for p in b.positions)
+              and len({pattern[p] for p in b.positions}) == 1]
     size = prod(factorial(len(b.positions)) for b in blocks) * factorial(n_derivs)
     if size > SEARCH_CAP:
         raise CanformSizeError(f"a factor has {size} arrangements, over {SEARCH_CAP}")
@@ -313,7 +322,7 @@ def arrangements(session: Session, f: FactorLike):
     before any is listed.
     """
     if isinstance(f, InertDeriv):
-        groups = _coarse_groups(f.factors)
+        groups = _coarse_groups(f.factors, [coarse_key(g) for g in f.factors])
         size = prod(factorial(len(g)) // prod(factorial(g.count(h)) for h in set(g))
                     for g in groups)
         if size > SEARCH_CAP:
@@ -348,7 +357,8 @@ def canonical_term(session: Session, t: Term):
     """The least rearrangement of one term: (its ``structural_key``, the
     canonical Term), or None when the term is identically zero.
 
-    A term whose coarse groups each hold copies of one factor with a single
+    Each distinct factor's coarse key and table are computed once.  A term
+    whose coarse groups each hold copies of one factor with a single
     arrangement has no choice to make: its factors in coarse order, dummies
     renamed, are canonical.  Otherwise, each position's factor shape is
     fixed, so keys compare label by label, and a factor's keys depend only
@@ -358,25 +368,38 @@ def canonical_term(session: Session, t: Term):
     factor is weighed by permuting its label keys, computed once per call,
     with its table's position orders; only a kept choice becomes a Factor.
     Ties wait on a stack, searched depth first; a step whose least keys
-    exceed the best branch's is dropped.  Completed branches are renamed by
-    ``rename_term_dummies``.  One structure reached with both signs makes
-    the term its own negative.  Raises ``CanformSizeError`` after
+    exceed the best branch's is dropped.  The search keeps the first
+    completed branch of each sign; one structure reached with both signs
+    makes the term its own negative.  Only the winning branch is renamed,
+    once, by ``rename_term_dummies``.  Raises ``CanformSizeError`` after
     ``SEARCH_CAP`` weighed arrangements.
     """
-    groups = _coarse_groups(t.factors)
-    ids = {f: i for i, f in enumerate(dict.fromkeys(t.factors))}
-    tables = [_table(session, f) if f.__class__ is Factor else () for f in ids]
-    if all(len(tables[ids[g[0]]]) == 1 and g.count(g[0]) == len(g) for g in groups):
-        placed = tuple([f for g in groups for f in g])
-        canon = rename_term_dummies(t if placed == t.factors else Term(t.coeff, placed))
+    factors = t.factors
+    ids: dict = {}  # each distinct factor -> its id, in first-occurrence order
+    shapes = []  # by id: (coarse key, signed position orders; () if inert)
+    at, coarse = [], []  # by position: its factor's id and coarse key
+    for f in factors:
+        i = ids.get(f)
+        if i is None:
+            i = ids[f] = len(shapes)
+            key = coarse_key(f)
+            shapes.append((key, _shape_table(session.blocks_for(f.name), key[3], key[4])
+                           if f.__class__ is Factor else ()))
+        at.append(i)
+        coarse.append(shapes[i][0])
+    if (all(len(table) == 1 for _, table in shapes)
+            and len({key for key, _ in shapes}) == len(shapes)):
+        placed = tuple([factors[i] for i in sorted(range(len(factors)),
+                                                   key=coarse.__getitem__)])
+        canon = rename_term_dummies(t if placed == factors else Term(t.coeff, placed))
         return structural_key(canon), canon
-    dummies = frozenset(t.indices.dummies)
-    label_keys = {lbl: lbl if lbl in dummies else label_sort_key(lbl)
-                  for lbl in t.indices.variances}
+    groups = _coarse_groups(at, coarse)
+    label_keys = {lbl: lbl if len(ups) == 2 else label_sort_key(lbl)
+                  for lbl, ups in t.indices.variances.items()}
     # each distinct factor's choices: (label keys, signed position orders,
     # the factor-like those orders rearrange)
     choices = []
-    for f, table in zip(ids, tables):
+    for f, (_, table) in zip(ids, shapes):
         if f.__class__ is Factor:
             choices.append((([label_keys[lbl] for lbl, _ in positions(f)], table, f),))
         else:
@@ -384,10 +407,9 @@ def canonical_term(session: Session, t: Term):
                               ((range(len(pos)), s),), arranged)
                              for arranged, s in _listed(arrangements(session, f))
                              for pos in (positions(arranged),)])
-    group_at = dict(zip(accumulate(map(len, groups), initial=0),
-                        [tuple([ids[f] for f in g]) for g in groups]))
+    group_at = dict(zip(accumulate(map(len, groups), initial=0), groups))
     best: list[tuple] = []  # the least keys of each position so far
-    found: dict[int, Term] = {}  # the first renamed leaf of each sign
+    found: dict[int, tuple] = {}  # the first placed factors of each sign
     work = 0
     # (placed factors, ids of the unplaced factors of their group,
     # dummy label -> its key, sign)
@@ -395,8 +417,8 @@ def canonical_term(session: Session, t: Term):
     while stack:
         placed, remaining, numbering, sign = stack.pop()
         depth = len(placed)
-        if depth == len(t.factors):
-            found.setdefault(sign, rename_term_dummies(Term(t.coeff * sign, placed)))
+        if depth == len(factors):
+            found.setdefault(sign, placed)
             if len(found) == 2:
                 return None
             continue
@@ -408,7 +430,7 @@ def canonical_term(session: Session, t: Term):
                     work += 1
                     if work > SEARCH_CAP:
                         raise CanformSizeError(
-                            f"canonicalizing a term of {len(t.factors)}"
+                            f"canonicalizing a term of {len(factors)}"
                             f" factors takes over {SEARCH_CAP} steps")
                     weighed, new = _position_keys(keys, order, numbering)
                     if least is None or weighed < least:
@@ -429,7 +451,8 @@ def canonical_term(session: Session, t: Term):
             # a table's first order leaves the factor as it is
             arranged = base if order is table[0][0] else _arranged(base, order)
             stack.append((placed + (arranged,), tuple(rest), child, sign * s))
-    (canon,) = found.values()
+    ((sign, placed),) = found.items()
+    canon = rename_term_dummies(Term(t.coeff if sign == 1 else -t.coeff, placed))
     return structural_key(canon), canon
 
 

@@ -74,7 +74,7 @@ def fresh_dummy(*labels: str, floor: int = 0) -> str:
 
 def label_sort_key(label: str):
     """Total order over labels: user labels first, generated dummies after."""
-    if is_dummy_label(label):
+    if label.startswith(DUMMY_PREFIX):
         return (1, int(label[1:]), "")
     return (0, 0, label)
 
@@ -343,7 +343,12 @@ def rename_term_dummies(t: Term) -> Term:
     dummies = t.indices.dummies
     if not dummies:
         return t
-    return map_labels(t, {lbl: dummy_label(n) for n, lbl in enumerate(dummies, 1)})
+    mapping = {lbl: dummy_label(n) for n, lbl in enumerate(dummies, 1)}
+    get = mapping.get
+    return Term(t.coeff, tuple([
+        Factor(f.name, tuple([(get(lbl, lbl), up) for lbl, up in f.slots]),
+               tuple([get(d, d) for d in f.derivs]))
+        if f.__class__ is Factor else map_labels(f, mapping) for f in t.factors]))
 
 
 def rename_dummies(expr: Expression) -> Expression:
@@ -519,29 +524,38 @@ def structural_key(obj):
 
     Coefficients are excluded so alpha-equivalent terms share a key.
     """
-    if isinstance(obj, Factor):
-        return (
-            0,
-            obj.name,
-            len(obj.slots),
-            obj.variance_pattern(),
-            tuple(label_sort_key(lbl) for lbl, _ in obj.slots),
-            tuple(label_sort_key(d) for d in obj.derivs),
-        )
-    if isinstance(obj, InertDeriv):
-        return (
-            1,
-            tuple(structural_key(f) for f in obj.factors),
-            label_sort_key(obj.index),
-        )
     if isinstance(obj, Term):
         key = obj._key
         if key is None:
-            key = obj._key = tuple(structural_key(f) for f in obj.factors)
+            keys: dict = {}  # each label's key, computed once per term
+            key = obj._key = tuple([_factor_key(f, keys) for f in obj.factors])
         return key
+    if isinstance(obj, (Factor, InertDeriv)):
+        return _factor_key(obj, {})
     if isinstance(obj, Expression):
         return tuple((structural_key(t), t.coeff) for t in obj.terms)
     raise TypeError(f"no structural key for {type(obj).__name__}")
+
+
+def _factor_key(f: FactorLike, keys: dict):
+    """The ``structural_key`` of one factor-like; ``keys`` holds the
+    ``label_sort_key`` of each label met so far."""
+    if f.__class__ is not Factor:
+        index = keys.get(f.index) or label_sort_key(f.index)
+        return (1, tuple([_factor_key(g, keys) for g in f.factors]), index)
+    slots = []
+    for lbl, _ in f.slots:
+        k = keys.get(lbl)
+        if k is None:
+            k = keys[lbl] = label_sort_key(lbl)
+        slots.append(k)
+    derivs = []
+    for d in f.derivs:
+        k = keys.get(d)
+        if k is None:
+            k = keys[d] = label_sort_key(d)
+        derivs.append(k)
+    return (0, f.name, len(f.slots), f.variance_pattern(), tuple(slots), tuple(derivs))
 
 
 def coarse_key(f: FactorLike):

@@ -8,6 +8,7 @@ from math import prod
 from .algebra import CanonicalSum, arrangements, canform, canonical_term
 from .errors import (
     IterationCapError,
+    MixedFreeIndicesError,
     ProductSizeError,
     SemanticError,
     SignatureMismatchError,
@@ -45,7 +46,9 @@ def defrule(session: Session, name: str, pattern: Expression,
             replacement: Expression) -> RewriteRule:
     """Store a rewrite rule.  Pattern arguments are plain expressions, so
     anything operator-valued (an exterior derivative, say) has already been
-    evaluated by the time the rule is recorded."""
+    evaluated by the time the rule is recorded.  A replacement other than 0
+    has its pattern's free indices, variances included, so that a rewrite
+    keeps every sum it rewrites valid."""
     if len(pattern.terms) not in (1, 2):
         raise SemanticError("rule patterns must have one or two terms")
     validate_expression(pattern)
@@ -58,6 +61,11 @@ def defrule(session: Session, name: str, pattern: Expression,
         raise UnboundMetavariableError(
             f"replacement metavariables {sorted(unbound)} missing from pattern"
         )
+    free, replaced = free_indices(pattern), free_indices(replacement)
+    if replacement.terms and replaced != free:
+        raise MixedFreeIndicesError(
+            f"the replacement of rule {name!r} has free indices {sorted(replaced)},"
+            f" its pattern {sorted(free)}")
     rule = RewriteRule(name, pattern, replacement, metavars)
     session.rules[name] = rule
     return rule
@@ -215,12 +223,6 @@ def _rewrite_once(session: Session, current: CanonicalSum,
             except ValidationError:
                 continue
             built += sum([1 + len(u.factors) for u in produced.terms])
-            # a product with other free indices would make the sum invalid
-            kept = next((k for k in current.keys if k not in removed), None)
-            if (produced.terms and kept is not None
-                    and produced.terms[0].indices.free
-                    != current.terms[kept].indices.free):
-                continue
             if current.merge(canform(session, produced).terms, removed):
                 return built
     return None

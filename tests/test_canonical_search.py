@@ -462,6 +462,76 @@ def test_an_inert_body_matches_in_its_own_order(session):
     assert binding == {"a": "b", "i": "j"}
 
 
+# --- one rename per term ---------------------------------------------------------
+
+
+def count_renames(monkeypatch):
+    calls = []
+    original = algebra.rename_term_dummies
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(algebra, "rename_term_dummies", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "F([x1],[x2])*F([x2],[x3])*F([x3],[x4])*F([x4],[x5])*F([x5],[x6])*F([x6],[x1])",
+    "X([d],[])*Y([],[d])",
+    "F([a,b],[])*F([c,d],[])*g([],[b,c])*g([],[d,a])",
+])
+def test_only_the_winning_leaf_is_renamed(field_session, monkeypatch, text):
+    """The six-factor ring has six tied branches, each completed; the one
+    kept is renamed, once.  A term with no choice is renamed once too."""
+    calls = count_renames(monkeypatch)
+    t = ev(text, field_session).terms[0]
+    assert canonical_term(field_session, t) == reference_canonical_term(field_session, t)
+    assert len(calls) == 1
+
+
+def test_a_zero_term_is_not_renamed(field_session, monkeypatch):
+    calls = count_renames(monkeypatch)
+    t = explicit_chain(random.Random(3), 3)  # explicit F^3: zero, F antisymmetric
+    assert canonical_term(field_session, t) is None
+    assert calls == []
+
+
+def rebuilt(f):
+    """An equal factor-like that shares no object with ``f``."""
+    if isinstance(f, InertDeriv):
+        return InertDeriv(tuple([rebuilt(g) for g in f.factors]), f.index)
+    return Factor(str(f.name), tuple([(str(lbl), up) for lbl, up in f.slots]),
+                  tuple([str(d) for d in f.derivs]))
+
+
+@pytest.mark.parametrize("metric", [True, False])
+def test_the_returned_key_is_the_returned_terms_own(metric):
+    """The key comes with the term, whatever the search kept: it equals the
+    key of a fresh copy, for derivative indices, declared blocks and inert
+    derivatives."""
+    s = make_session(metric, symmetries=True)
+    decsym(s, "H", 0, 3, [], [("sym", "all")])
+    rng, py_rng = make_rng(90 + metric), random.Random(90)
+    pool = DEFAULT_POOL + (("R", 4), ("H", 3))
+    checked = 0
+    for i in range(80):
+        free = [(), (("u", False),), (("u", False), ("v", True))][i % 3]
+        for t in random_expression(s, rng, free=free, max_factors=5, pool=pool).terms:
+            for u in (t, with_inert(py_rng, t)):
+                try:
+                    result = canonical_term(s, validate(u))
+                except ValidationError:
+                    continue
+                if result is not None:
+                    key, canon = result
+                    fresh = Term(canon.coeff, tuple([rebuilt(f) for f in canon.factors]))
+                    assert key == structural_key(fresh), u
+                    checked += 1
+    assert checked > 200
+
+
 # --- the open mixed-variance defect ------------------------------------------------
 
 

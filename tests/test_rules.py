@@ -5,6 +5,7 @@ from indicial.algebra import canform, decsym, expand
 from indicial.calculus import extdiff
 from indicial.errors import (
     IterationCapError,
+    MixedFreeIndicesError,
     ProductSizeError,
     SemanticError,
     SignatureMismatchError,
@@ -146,12 +147,23 @@ def test_apply1_skips_a_partner_that_canonicalizes_to_zero(session):
 
 
 def test_apply1_skips_a_replacement_invalid_with_the_rest(session):
-    # x_c*w^c would become y^c*w^c: c twice contravariant
+    # x_c*w^c would become y^c*w^c: c twice contravariant.  Such a rule has
+    # other free indices than its pattern, so defrule refuses it outright
     matchdeclare(session, ["a"])
-    defrule(session, "R", ev("x([a],[])", session), ev("y([],[a])", session))
-    e = ev("x([c],[])*w([],[c])", session)
+    with pytest.raises(MixedFreeIndicesError, match=r"\('a', True\).*\('a', False\)"):
+        defrule(session, "R", ev("x([a],[])", session), ev("y([],[a])", session))
+    assert "R" not in session.rules
+
+
+def test_apply1_skips_a_replacement_invalid_with_the_rest_by_rank(session):
+    # x_m*y^{kl}*z_{kl} would become y_m*y^{kl}*z_{kl}: y with two ranks.  A
+    # script cannot write that subject once the rule fixes y's rank, so it is
+    # built directly
+    matchdeclare(session, ["a"])
+    defrule(session, "R", ev("x([a],[])", session), ev("y([a],[])", session))
+    e = ex(term(1, fac("x", ["m"]), fac("y", contra=["k", "l"]), fac("z", ["k", "l"])))
     assert apply1(session, e, "R") == canform(session, e)
-    assert apply1(session, ev("x([m],[])", session), "R") == ev("y([],[m])", session)
+    assert apply1(session, ev("x([m],[])", session), "R") == ev("y([m],[])", session)
 
 
 def test_apply1_numerically_sound_for_curl_rule(maxwell_session):
