@@ -42,6 +42,7 @@ from .exprs import (
     Term,
     ZERO,
     coarse_key,
+    dummy_floor,
     label_sort_key,
     map_labels,
     positions,
@@ -338,17 +339,18 @@ def arrangements(session: Session, f: FactorLike):
         yield _arranged(f, order), sign
 
 
-def _position_keys(keys, order, numbering: dict):
+def _position_keys(keys, order, numbering: dict, floor: int):
     """The label keys of the positions ``order`` takes from ``keys`` (a
     label's key, or a dummy's label), each dummy keyed as its number in
-    ``numbering`` or, if new, the next one; the new dummies' keys."""
+    ``numbering`` or, if new, the next one above ``floor`` and the numbered
+    ones; the new dummies' keys."""
     out = []
     new: dict[str, tuple] = {}
     for i in order:
         k = keys[i]
         if k.__class__ is str:  # label_sort_key of the renamed dummy
-            k = (numbering.get(k) or new.get(k)
-                 or new.setdefault(k, (1, len(numbering) + len(new) + 1, "")))
+            k = (numbering.get(k) or new.get(k) or new.setdefault(
+                k, (1, floor + len(numbering) + len(new) + 1, "")))
         out.append(k)
     return tuple(out), new
 
@@ -408,6 +410,7 @@ def canonical_term(session: Session, t: Term):
                              for arranged, s in _listed(arrangements(session, f))
                              for pos in (positions(arranged),)])
     group_at = dict(zip(accumulate(map(len, groups), initial=0), groups))
+    floor = dummy_floor(t)  # as ``rename_term_dummies`` numbers the winner
     best: list[tuple] = []  # the least keys of each position so far
     found: dict[int, tuple] = {}  # the first placed factors of each sign
     work = 0
@@ -432,7 +435,7 @@ def canonical_term(session: Session, t: Term):
                         raise CanformSizeError(
                             f"canonicalizing a term of {len(factors)}"
                             f" factors takes over {SEARCH_CAP} steps")
-                    weighed, new = _position_keys(keys, order, numbering)
+                    weighed, new = _position_keys(keys, order, numbering, floor)
                     if least is None or weighed < least:
                         least, ties = weighed, []
                     if weighed == least:

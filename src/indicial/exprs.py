@@ -337,13 +337,23 @@ def validate_expression(expr: Expression) -> Expression:
     return expr
 
 
+def dummy_floor(t: Term) -> int:
+    """The highest generated label among the term's free indices, 0 if none:
+    renamed dummies are numbered above it, so none takes a free label."""
+    summary = t.indices
+    if not summary.top:
+        return 0
+    return max([dummy_number(lbl) for lbl, _ in summary.free], default=0)
+
+
 def rename_term_dummies(t: Term) -> Term:
-    """Relabel the term's dummy pairs as %1, %2, ... in first-occurrence
-    order.  Free indices are untouched."""
+    """Relabel the term's dummy pairs as generated labels in first-occurrence
+    order, numbered from just above ``dummy_floor`` (%1, %2, ... when no
+    free index is generated).  Free indices are untouched."""
     dummies = t.indices.dummies
     if not dummies:
         return t
-    mapping = {lbl: dummy_label(n) for n, lbl in enumerate(dummies, 1)}
+    mapping = {lbl: dummy_label(n) for n, lbl in enumerate(dummies, dummy_floor(t) + 1)}
     get = mapping.get
     return Term(t.coeff, tuple([
         Factor(f.name, tuple([(get(lbl, lbl), up) for lbl, up in f.slots]),
@@ -354,8 +364,9 @@ def rename_term_dummies(t: Term) -> Term:
 def rename_dummies(expr: Expression) -> Expression:
     """Canonically relabel dummy pairs term by term.
 
-    Idempotent: the numbering restarts at %1 within each term, so two
-    alpha-equivalent terms receive identical labels.
+    Idempotent: the numbering restarts within each term, just above its
+    free generated labels, so two alpha-equivalent terms receive identical
+    labels.
     """
     return Expression(tuple(rename_term_dummies(t) for t in expr.terms))
 

@@ -8,19 +8,38 @@ and commuting partials through ``algebra._table``, as ``canform`` does.  A
 contravariant occurrence contracts the base array with the inverse metric on
 that axis, which makes raising and lowering sound by construction.
 Expressions containing inert covariant derivatives cannot be evaluated.
+
+``numeric_eval`` turns each term into its contraction plan: the arrays its
+factors read, their einsum subscripts (dummies numbered in first-occurrence
+order) and the values its free indices are bound to.  Terms with one plan
+differ only in their coefficients, dummy names and 0-d factors, so their
+coefficients are summed and each plan is contracted once.  A plan whose
+one-call einsum would visit more than ``PAIRWISE_ABOVE`` valuations (dim to
+the number of its dummies) is contracted pairwise, in the order of
+``numpy.einsum_path``'s greedy search, found once per subscripts and shapes:
+a chain of n factors then costs about n small products, not dim**n
+valuations.  A term may hold at most 52 distinct dummies and 63 factors
+with a dummy, einsum's own limits; a larger one raises ``SemanticError``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .algebra import _table
-from .errors import InertOperatorError, SemanticError, UnboundNameError, ValidationError
+from .errors import (
+    InertOperatorError,
+    SemanticError,
+    TripleIndexError,
+    UnboundNameError,
+    ValidationError,
+)
 from .exprs import (
     DIM_SYMBOL,
     Expression,
     Factor,
-    InertDeriv,
     KDELTA,
     Term,
     positions,
@@ -30,6 +49,18 @@ from .session import Session
 
 if TYPE_CHECKING:
     import numpy as np
+
+# einsum's own limits, kept for pairwise contractions too: distinct dummies
+# in one term, and operands (factors with a dummy)
+MAX_DUMMIES = 52
+MAX_OPERANDS = 63
+
+# A plan whose one-call einsum would visit more valuations (dim to the
+# number of its dummies) is contracted pairwise.  Measured on F chains and
+# on a tensor contracted with vectors at dimensions 2-4 (2-vCPU x86_64 VM,
+# numpy 2.4): one call is 1.3-1.9x faster up to 256 valuations, the two are
+# about even from 512 to 1,024, and pairwise is 1.5-33x faster from 2,048 on.
+PAIRWISE_ABOVE = 1000
 
 # numpy is imported inside the functions that use it, so that importing the
 # engine does not load it: only this oracle needs numpy.
@@ -85,11 +116,11 @@ class ComponentAssignment:
         import numpy as np
 
         arr = self.base[key]
+        axes = list(range(arr.ndim))
         for axis, up in enumerate(pattern):
-            if up:
-                arr = np.moveaxis(
-                    np.tensordot(self.metric_inverse, arr, axes=(1, axis)), 0, axis
-                )
+            if up:  # the inverse's first index takes the axis's place
+                out = axes[:axis] + [arr.ndim] + axes[axis + 1:]
+                arr = np.einsum(self.metric_inverse, [arr.ndim, axis], arr, axes, out)
         self._adjusted[(key, pattern)] = arr
         return arr
 
@@ -98,58 +129,136 @@ def numeric_eval(expr: Expression, assignment: ComponentAssignment,
                  bind: dict[str, int] | None = None) -> float:
     """Sum a validated expression over all dummy values 0..D-1.
 
-    Free indices must be bound through ``bind`` to values in 0..D-1.
+    Free indices must be bound through ``bind`` to integers (any
+    ``numbers.Integral`` but ``bool``) in 0..D-1; a label that occurs more
+    than twice in a term raises ``TripleIndexError``.
+    Terms with one contraction plan (``_plan_key``) share one contraction:
+    each term's coefficient times its 0-d factors, in factor order, is
+    summed per plan, and each plan is contracted once.
     """
     bind = bind or {}
-    bad = {lbl: v for lbl, v in bind.items() if not 0 <= v < assignment.dim}
+    last = assignment.dim - 1
+    bad = {lbl: v for lbl, v in bind.items()
+           if not isinstance(v, Integral) or isinstance(v, bool) or not 0 <= v <= last}
     if bad:
-        raise SemanticError(f"bound values {bad} lie outside 0..{assignment.dim - 1}")
-    return sum((_eval_term(t, assignment, bind) for t in expr.terms), 0.0)
+        raise SemanticError(f"bound values {bad} are not integers in 0..{last}")
+    plans: dict = {}  # plan key -> [its 0-d factor values, its contraction, summed coefficient]
+    for t in expr.terms:
+        key = _plan_key(t, bind)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = [*_contract(key, assignment), 0.0]
+        value = float(t.coeff)
+        for s in plan[0]:
+            value *= s
+        plan[2] += value
+    return sum([coeff * value for _, value, coeff in plans.values()], 0.0)
 
 
-def _eval_term(t: Term, assignment: ComponentAssignment,
-               bind: dict[str, int]) -> float:
-    """One einsum contraction over the dummies.  Factors are sliced at their
-    bound free indices; 0-d values (``dim``, scalars) fold into the coefficient."""
+def _plan_key(t: Term, bind: dict[str, int]) -> tuple:
+    """What a term's contraction depends on, labels aside: each factor's
+    (name, rank, number of derivatives), the ``up`` flag and the label
+    number (first-occurrence order) of each position, and the bound value
+    of each label, None for a dummy (``()`` when no index is free)."""
+    shape, pos = [], []
+    for f in t.factors:
+        if f.__class__ is not Factor:
+            raise InertOperatorError("inert covariant derivatives have no numeric value")
+        shape.append((f.name, len(f.slots), len(f.derivs)))
+        pos += f.slots if not f.derivs else positions(f)
+    summary = t.indices
+    variances = summary.variances
+    if len(summary.dummies) + len(summary.free) != len(variances):
+        lbl, ups = next((lbl, ups) for lbl, ups in variances.items() if len(ups) > 2)
+        raise TripleIndexError(f"index {lbl!r} appears {len(ups)} times in one term")
+    bound = ()
+    if summary.free:
+        missing = [lbl for lbl, ups in variances.items()
+                   if len(ups) == 1 and lbl not in bind]
+        if missing:
+            raise SemanticError(f"free indices {missing} are unbound")
+        bound = tuple([bind[lbl] if len(ups) == 1 else None
+                       for lbl, ups in variances.items()])
+    number = dict(zip(variances, range(len(variances))))
+    labels, ups = zip(*pos) if pos else ((), ())
+    return tuple(shape), ups, tuple(map(number.__getitem__, labels)), bound
+
+
+def _contract(key: tuple, assignment: ComponentAssignment) -> tuple[list, float]:
+    """The values of a plan's 0-d factors (``dim``, scalars, factors bound at
+    every index) in factor order, and the contraction of its other factors
+    over the dummies.  Factors are sliced at their bound values; dummies
+    become einsum axes in first-occurrence order."""
     import numpy as np
 
-    for f in t.factors:
-        if isinstance(f, InertDeriv):
-            raise InertOperatorError("inert covariant derivatives have no numeric value")
-    missing = [lbl for lbl, ups in t.indices.variances.items()
-               if len(ups) == 1 and lbl not in bind]
-    if missing:
-        raise SemanticError(f"free indices {missing} are unbound")
-    dummies = {lbl: n for n, lbl in enumerate(t.indices.dummies)}
-    value = float(t.coeff)
-    operands = []
-    for f in t.factors:
-        labels = [lbl for lbl, _ in positions(f)]
-        if f.name == DIM_SYMBOL:
-            value *= assignment.dim
+    shape, ups, numbers, bound = key
+    dim = assignment.dim
+    scalars, operands = [], []  # operands: each array, then its axes
+    axes: dict[int, int] = {}  # a dummy's label number -> its axis
+    end = 0
+    for name, rank, nderivs in shape:
+        start, end = end, end + rank + nderivs
+        own = numbers[start:end]
+        if name == DIM_SYMBOL:
+            scalars.append(float(dim))
             continue
-        if f.name == KDELTA:
-            if f.rank != 2 or f.slots[0][1] == f.slots[1][1] or f.derivs:
+        pattern = ups[start:start + rank]
+        if name == KDELTA:
+            if rank != 2 or pattern[0] == pattern[1] or nderivs:
                 raise SemanticError("only the mixed Kronecker delta is evaluable")
-            arr = np.eye(assignment.dim)
+            arr = np.eye(dim)
         else:
-            arr = assignment._adjust((f.name, f.rank, len(f.derivs)),
-                                     f.variance_pattern())
-        axes = [dummies.get(lbl) for lbl in labels]
-        if None in axes:  # slice at the bound free indices
-            arr = arr[tuple(bind[lbl] if n is None else slice(None)
-                            for lbl, n in zip(labels, axes))]
-            axes = [n for n in axes if n is not None]
-        if axes:
-            operands += [arr, axes]
+            arr = assignment._adjust((name, rank, nderivs), pattern)
+        if bound and any(bound[n] is not None for n in own):
+            arr = arr[tuple([slice(None) if bound[n] is None else bound[n] for n in own])]
+            own = [n for n in own if bound[n] is None]
+        if own:
+            operands += [arr, [axes.setdefault(n, len(axes)) for n in own]]
         else:
-            value *= float(arr)
+            scalars.append(float(arr))
     if not operands:
-        return value
-    try:
-        return value * float(np.einsum(*operands, []))
-    except ValueError as exc:  # einsum caps operands and distinct labels
-        raise SemanticError(f"term too large to evaluate: {exc}") from None
+        return scalars, 1.0
+    if len(axes) > MAX_DUMMIES or len(operands) > 2 * MAX_OPERANDS:
+        raise SemanticError(
+            f"term too large to evaluate: {len(operands) // 2} operands over"
+            f" {len(axes)} dummies (at most {MAX_OPERANDS} and {MAX_DUMMIES})")
+    if dim ** len(axes) <= PAIRWISE_ABOVE:
+        return scalars, float(np.einsum(*operands, []))
+    return scalars, _pairwise(operands)
+
+
+# (subscripts, operand shapes) -> the pairwise steps that contract them: a
+# pure function of the key, so one per key met serves every assignment
+_STEPS: dict = {}
+
+
+def _pairwise(operands: list) -> float:
+    """The full contraction of ``operands`` (each array, then its axes) in
+    the order of ``numpy.einsum_path``'s greedy search, each step one einsum
+    over the operands it picks, keeping the axes still shared with the rest."""
+    import numpy as np
+
+    arrays, subscripts = operands[::2], operands[1::2]
+    key = (tuple(map(tuple, subscripts)), tuple([a.shape for a in arrays]))
+    steps = _STEPS.get(key)
+    if steps is None:
+        path = np.einsum_path(*operands, [], optimize="greedy")[0]
+        left, steps = list(key[0]), []
+        for picked in path[1:]:
+            picked = sorted(picked, reverse=True)
+            taken = [left.pop(i) for i in picked]
+            kept = {n for s in left for n in s}
+            out = tuple([n for n in dict.fromkeys(chain(*taken)) if n in kept])
+            left.append(out)
+            steps.append((picked, list(out)))
+        steps = _STEPS[key] = tuple(steps)
+    for picked, out in steps:
+        args = []
+        for i in picked:
+            args += [arrays.pop(i), subscripts.pop(i)]
+        arrays.append(np.einsum(*args, out))
+        subscripts.append(out)
+    return float(arrays[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +266,19 @@ def _eval_term(t: Term, assignment: ComponentAssignment,
 
 
 def collect_shapes(exprs) -> set[tuple[str, int, int]]:
+    """The (name, rank, number of derivatives) of every tensor in the
+    expressions, inert bodies included; ``kdelta`` and ``dim`` have no
+    components."""
     shapes = set()
     for e in exprs:
-        for f in walk_factors(e):
-            if f.name in (KDELTA, DIM_SYMBOL):
-                continue
-            shapes.add((f.name, f.rank, len(f.derivs)))
-    return shapes
+        for t in e.terms:
+            for f in t.factors:
+                if f.__class__ is Factor:
+                    shapes.add((f.name, len(f.slots), len(f.derivs)))
+                else:
+                    shapes.update([(g.name, len(g.slots), len(g.derivs))
+                                   for g in walk_factors(f)])
+    return {s for s in shapes if s[0] != KDELTA and s[0] != DIM_SYMBOL}
 
 
 def random_assignment(session: Session, exprs, dim: int = 2,

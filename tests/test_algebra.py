@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from indicial import scale, sub
-from indicial.algebra import canform, contract, decsym, expand
+from indicial.algebra import canform, canonical_term, contract, decsym, expand
 from indicial.errors import ArityMismatchError, ConflictingDeclarationError
-from indicial.exprs import ZERO
+from indicial.exprs import ZERO, Term, free_indices, structural_key, validate_expression
 from indicial.numeval import numeric_eval, random_assignment, random_expression
 
 from conftest import ev, make_rng
@@ -209,6 +210,31 @@ def test_canform_sound_under_numeric_eval(sym_session):
         assert numeric_eval(canform(sym_session, e), a) == pytest.approx(
             numeric_eval(e, a), rel=1e-9, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("text", [
+    "x([],[%1])*y([a],[])*z([],[a])",
+    "x([],[%3])*S([a,b],[])*x([],[a])*y([],[b])*y([%1],[])",
+    "T([%2],[a])*S([a,b],[])*x([],[b])",
+    "T([%1],[a])*T([b],[%4])*S([],[b,c])*S([a,c],[])",
+])
+def test_canform_numbers_dummies_above_free_generated_labels(sym_session, text):
+    """A dummy renamed onto a free generated label would occur three times:
+    the canonical form stays valid, keeps its key, and agrees with the input
+    at dimension 4 for every value of the free indices."""
+    e = ev(text, sym_session)
+    free = sorted(lbl for lbl, _ in free_indices(e))
+    result = canform(sym_session, e)
+    validate_expression(result)
+    assert free_indices(result) == free_indices(e)
+    key, canon = canonical_term(sym_session, e.terms[0])
+    assert key == structural_key(Term(canon.coeff, canon.factors))
+    a = random_assignment(sym_session, [e, result], dim=4, seed=1)
+    for values in product(range(4), repeat=len(free)):
+        bind = dict(zip(free, values))
+        assert numeric_eval(result, a, bind) == pytest.approx(
+            numeric_eval(e, a, bind), rel=1e-9, abs=1e-12
+        ), bind
 
 
 def test_expand_is_identity_on_flat_expressions(session):

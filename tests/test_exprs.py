@@ -114,6 +114,17 @@ def test_rename_dummies_basic():
     assert f[1].slots == (("%1", True),)
 
 
+def test_rename_dummies_numbers_above_free_generated_labels():
+    # %1 is free: the dummy pair becomes %2, not a third %1
+    e = ex(term(1, fac("x", contra=("%1",)), fac("y", cov=("a",)), fac("z", contra=("a",))))
+    (t,) = rename_dummies(e).terms
+    assert [f.slots for f in t.factors] == [(("%1", True),), (("%2", False),), (("%2", True),)]
+    validate(t)
+    # a generated dummy is not a floor; a user free index keeps the numbering at %1
+    e = ex(term(1, fac("x", cov=("%7",)), fac("y", contra=("%7",)), fac("z", contra=("u",))))
+    assert rename_dummies(e).terms[0].factors[0].slots == (("%1", False),)
+
+
 def test_rename_dummies_unifies_alpha_equivalent_terms():
     e = Expression(
         (

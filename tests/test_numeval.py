@@ -1,11 +1,26 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from indicial import numeval
 from indicial.algebra import decsym
-from indicial.errors import InertOperatorError, SemanticError, UnboundNameError
-from indicial.exprs import DIM_SYMBOL, KDELTA, positions
+from indicial.errors import (
+    InertOperatorError,
+    SemanticError,
+    TripleIndexError,
+    UnboundNameError,
+)
+from indicial.exprs import (
+    DIM_SYMBOL,
+    KDELTA,
+    Expression,
+    Factor,
+    Term,
+    positions,
+    validate_expression,
+)
 from indicial.numeval import (
     ComponentAssignment,
     collect_shapes,
@@ -277,3 +292,177 @@ def test_draws_agree_with_the_block_projection(session, declare, shapes):
             raw = rng.uniform(-1.5, 1.5, size=(dim,) * (rank + nderivs))
             want = reference_draw(session, name, rank, nderivs, raw)
             assert np.max(np.abs(a.base[(name, rank, nderivs)] - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# contraction plans: equal structures contracted once, large ones pairwise
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", None])
+def test_bound_value_of_another_type_raises(session, value):
+    e = ev("x([a],[])", session)
+    a = random_assignment(session, [e], dim=4, seed=5)
+    with pytest.raises(SemanticError):
+        numeric_eval(e, a, {"a": value})
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1)])
+def test_bound_value_of_any_integer_type_is_accepted(session, value):
+    e = ev("x([a],[])", session)
+    a = random_assignment(session, [e], dim=4, seed=5)
+    assert numeric_eval(e, a, {"a": value}) == a.base[("x", 1, 0)][1]
+
+
+def test_a_label_three_times_over_raises(session):
+    # what canform made of x^{%1}*y_{a}*z^{a} before it numbered dummies
+    # above the free generated labels
+    t = Term(1, (Factor("x", (("%1", True),)), Factor("y", (("%1", False),)),
+                 Factor("z", (("%1", True),))))
+    a = random_assignment(session, [Expression((t,))], dim=4, seed=1)
+    for bind in ({}, {"%1": 2}):
+        with pytest.raises(TripleIndexError):
+            numeric_eval(Expression((t,)), a, bind)
+
+
+@pytest.fixture
+def chain_session(session):
+    """The metric, an antisymmetric ``F`` and an undeclared ``M``."""
+    decsym(session, "F", 2, 0, [("anti", "all")], [])
+    return session
+
+
+def _mixed_chain(name, n, ends=None):
+    """name_{a0}^{a1} name_{a1}^{a2} ... closed into a ring, or open from
+    the lower label ``ends[0]`` to the upper label ``ends[1]``."""
+    labels = [f"a{i}" for i in range(n)] + ["a0"]
+    if ends:
+        labels[0], labels[-1] = ends
+    return "*".join(f"{name}([{labels[i]}],[{labels[i + 1]}])" for i in range(n))
+
+
+def _explicit_chain(n):
+    """F_{u0 v0} g^{v0 u1} F_{u1 v1} g^{v1 u2} ... g^{v(n-1) u0}."""
+    return "*".join(f"F([u{i},v{i}],[])*g([],[v{i},u{(i + 1) % n}])" for i in range(n))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("text", [_mixed_chain(name, n) for n in (5, 6, 7, 8)
+                                  for name in ("F", "M")]
+                         + [_explicit_chain(3), _explicit_chain(4)])
+def test_chains_match_valuation_loop(chain_session, dim, text):
+    # at dimension 3 the 8-factor rings and explicit F^4 (8 dummies) go pairwise
+    e = ev(text, chain_session)
+    a = random_assignment(chain_session, [e], dim=dim, seed=dim)
+    assert _agrees(e, a)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_explicit_chain_at_dimension_4_is_a_matrix_trace(chain_session, n):
+    # one-call einsum would visit 4**(2n) valuations
+    e = ev(_explicit_chain(n), chain_session)
+    a = random_assignment(chain_session, [e], dim=4, seed=n)
+    f, up = a.base[("F", 2, 0)], a._adjust(("g", 2, 0), (True, True))
+    want = float(np.trace(np.linalg.matrix_power(f @ up, n)))
+    assert numeric_eval(e, a) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "free", [(), (("u", False),), (("u", True), ("v", False))],
+    ids=["closed", "one-free", "two-free"],
+)
+def test_pairwise_contraction_matches_valuation_loop(sym_session, monkeypatch, free):
+    monkeypatch.setattr(numeval, "PAIRWISE_ABOVE", 0)
+    rng = make_rng(60)
+    for i in range(20):
+        dim = 2 + i % 3
+        e = random_expression(sym_session, rng, free=free, max_factors=5)
+        a = random_assignment(sym_session, [e], dim=dim, seed=900 + i)
+        bind = {lbl: rng.integers(0, dim) for lbl, _ in free}
+        assert _agrees(e, a, bind), (i, e)
+    for text in ("S([a],[a])", "x([],[a],a)", "T([a,b],[],c)*S([],[a,c])*x([],[b])",
+                 "dim*x([a],[])*x([],[a])", "kdelta([a],[b])*x([b],[])*y([],[a])"):
+        e = ev(text, sym_session)
+        assert _agrees(e, random_assignment(sym_session, [e], dim=3, seed=1)), text
+
+
+def _sum_of(session, coeffs, texts):
+    """One term per coefficient, each of one structure written with its own
+    labels (``texts`` cycles), so no two terms are equal."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        (t,) = ev(texts[i % len(texts)], session).terms
+        terms.append(Term(c, t.factors))
+    return validate_expression(Expression(tuple(terms)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, -1),
+    (Fraction(1, 3), Fraction(-1, 3)),
+    (Fraction(3, 2), Fraction(-1, 4), Fraction(-5, 4)),
+    (2, -1, 3, -4),
+])
+@pytest.mark.parametrize("texts", [
+    ("x([a],[])*S([],[a,b])*y([b],[])", "x([c],[])*S([],[c,d])*y([d],[])"),
+    (_mixed_chain("M", 8), _mixed_chain("M", 8).replace("a", "b")),  # pairwise
+], ids=["vectors", "ring8"])
+def test_cancelling_terms_of_one_structure_sum_to_zero(chain_session, coeffs, texts):
+    decsym(chain_session, "S", 2, 0, [("sym", "all")], [])
+    e = _sum_of(chain_session, coeffs, texts)
+    a = random_assignment(chain_session, [e], dim=4, seed=7)
+    assert numeric_eval(e, a) == 0.0
+    assert numeric_eval(Expression(e.terms[:1]), a) != 0.0
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, -1),
+    (Fraction(1, 3), Fraction(-1, 3)),
+    (Fraction(3, 2), Fraction(-3, 2), Fraction(5, 4), Fraction(-5, 4)),
+])
+def test_cancelling_terms_with_0d_factors_sum_to_zero(chain_session, coeffs):
+    # each term's coefficient times its 0-d factors: opposite terms cancel exactly
+    decsym(chain_session, "S", 2, 0, [("sym", "all")], [])
+    e = _sum_of(chain_session, coeffs, ["w([],[])*dim*S([a,b],[])*S([],[a,b])",
+                                        "w([],[])*dim*S([p,q],[])*S([],[p,q])"])
+    a = random_assignment(chain_session, [e], dim=4, seed=7)
+    assert numeric_eval(e, a) == 0.0
+    assert numeric_eval(Expression(e.terms[:1]), a) != 0.0
+
+
+def test_each_plan_is_contracted_once(chain_session, monkeypatch):
+    calls = []
+    original = numeval._contract
+    monkeypatch.setattr(numeval, "_contract",
+                        lambda key, a: calls.append(key) or original(key, a))
+    coeffs = [Fraction(k, 1 + k % 4) for k in range(1, 31)]
+    e = _sum_of(chain_session, coeffs, ["x([a],[])*F([],[a,b])*y([b],[])",
+                                        "x([c],[])*F([],[c,d])*y([d],[])",
+                                        "x([e],[])*y([],[e])",
+                                        "x([f],[])*y([],[f])"])
+    a = random_assignment(chain_session, [e], dim=3, seed=2)
+    assert _agrees(e, a)
+    assert len(calls) == 2
+    calls.clear()
+    numeric_eval(_sum_of(chain_session, coeffs, ["x([u],[])*y([b],[])*y([],[b])"]),
+                 a, {"u": 1})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pairwise", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("text", [
+    _mixed_chain("M", 5, ends=("u", "v")),  # a chain between two free indices
+    _mixed_chain("F", 4, ends=("u", "v")),
+    "x([u],[])*T([a,b],[])*S([],[a,b])*y([],[v])",  # x and y bound at every index
+    "S([u],[v])*S([a],[a])",
+    "T([u,a],[],v)*x([],[a])",  # a bound derivative index
+    "kdelta([u],[v])*x([a],[])*y([],[a])",
+])
+def test_bound_slices_match_valuation_loop(chain_session, monkeypatch, pairwise, dim, text):
+    decsym(chain_session, "T", 2, 0, [("anti", "all")], [])
+    decsym(chain_session, "S", 2, 0, [("sym", "all")], [])
+    if pairwise:
+        monkeypatch.setattr(numeval, "PAIRWISE_ABOVE", 0)
+    e = ev(text, chain_session)
+    a = random_assignment(chain_session, [e], dim=dim, seed=dim + 10)
+    for u, v in product(range(dim), repeat=2):
+        assert _agrees(e, a, {"u": u, "v": v}), (u, v)
